@@ -11,11 +11,13 @@
 // Each Lanczos run yields Ritz values theta_k with Gaussian-quadrature
 // weights |e_1^T y_k|^2; averaging the resulting spectral measures over a few
 // random starting vectors gives the DoS estimate whose ne/N quantile is
-// mu_ne.
+// mu_ne. The runs advance together as the columns of one block, so each
+// Lanczos step costs one multi-column H apply rather than one per run.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "comm/communicator.hpp"
@@ -39,138 +41,218 @@ T lanczos_entry(std::uint64_t seed, std::uint64_t stream, la::Index g) {
 
 namespace detail {
 
+/// One Lanczos run's tridiagonal: the diagonal alpha and the off-diagonal
+/// beta, whose trailing entry is the residual norm of the last step.
+template <typename R>
+struct LanczosRun {
+  std::vector<R> alpha;
+  std::vector<R> beta;
+};
+
 /// Raw Lanczos quadrature data shared by the spectral-bound estimation and
 /// the public DoS interface (core/dos.hpp).
 template <typename R>
 struct LanczosQuadrature {
   std::vector<std::pair<R, R>> dos;  // (ritz value, weight) per run
-  R b_sup = 0;
-  R mu_1 = 0;
+  R b_sup = -std::numeric_limits<R>::infinity();
+  R mu_1 = std::numeric_limits<R>::infinity();
 };
 
+/// Lanczos runs first_run .. first_run + nruns - 1, advanced in lockstep as
+/// the columns of one block: every step makes one nruns-column H apply, one
+/// B -> C redistribution and one allreduce each for the nruns alphas and the
+/// nruns betas. Each column keeps its own recurrence, stop and restart, so a
+/// run's tridiagonal is bitwise the same whether it advances alone or in
+/// the block (the HEMM/GEMM engines compute every output column with a
+/// fixed k-loop order, and the allreduces combine element by element).
 template <typename HOp, typename T = typename HOp::Scalar>
-LanczosQuadrature<RealType<T>> lanczos_quadrature(
-    HOp& h, int steps, int nvec, std::uint64_t seed) {
+std::vector<LanczosRun<RealType<T>>> lanczos_runs(HOp& h, int steps,
+                                                  int first_run, int nruns,
+                                                  std::uint64_t seed) {
   using R = RealType<T>;
-  perf::RegionScope scope(perf::Region::kLanczos);
   const auto& grid = h.grid();
   const auto& rmap = h.row_map();
   const auto& cmap = h.col_map();
   const la::Index n = h.global_size();
   const la::Index mloc = rmap.local_size(grid.my_row());
+  const la::Index nv = nruns;
   steps = int(std::min<la::Index>(steps, n));
 
-  la::Matrix<T> v_prev(mloc, 1), v(mloc, 1), w(mloc, 1);
-  la::Matrix<T> wb(cmap.local_size(grid.my_col()), 1);
+  la::Matrix<T> v_prev(mloc, nv), v(mloc, nv), w(mloc, nv);
+  la::Matrix<T> wb(cmap.local_size(grid.my_col()), nv);
+  std::vector<T> dots(static_cast<std::size_t>(nv));
 
-  // Global inner products over C-layout vectors: local rows + allreduce over
-  // the column communicator (identical on all grid columns by determinism).
-  auto global_dotc = [&](const la::Matrix<T>& a, const la::Matrix<T>& b) {
-    T acc = la::dotc(mloc, a.data(), b.data());
-    grid.col_comm().all_reduce(&acc, 1);
-    return acc;
+  // kStart: needs a (re-)randomized start vector; kActive: mid-recurrence
+  // (its step count is the length of its beta list); kDone: finished or
+  // stopped on an invariant subspace. Done columns are zeroed and ride
+  // along in the block applies.
+  enum class State { kStart, kActive, kDone };
+  struct Column {
+    State state = State::kStart;
+    int attempt = 0;
+  };
+  std::vector<Column> cols(static_cast<std::size_t>(nv));
+  std::vector<LanczosRun<R>> runs(static_cast<std::size_t>(nv));
+  const auto in_state = [&](State st) {
+    return std::any_of(cols.begin(), cols.end(),
+                       [&](const Column& c) { return c.state == st; });
   };
 
-  std::vector<std::pair<R, R>> dos;  // (ritz value, weight)
-  R b_sup = -std::numeric_limits<R>::infinity();
-  R mu_1 = std::numeric_limits<R>::infinity();
-
-  for (int run = 0; run < nvec; ++run) {
-    // Non-finite recurrence coefficients (an Inf/NaN in H, or corruption in
-    // transit) would silently poison the DoS estimate and hence every bound
-    // derived from it. Since alpha/beta come out of allreduces they are
-    // identical on all ranks, so every rank restarts the run with the same
-    // salted random stream; persistent breakdown means H itself contains
-    // non-finite entries and is reported as an error.
-    std::vector<R> alpha, beta;
-    bool run_ok = false;
-    for (int attempt = 0; attempt < 3 && !run_ok; ++attempt) {
-      const auto stream = std::uint64_t(run) + std::uint64_t(attempt) * 100003;
-      // Random normalized start vector.
-      for (const auto& r : rmap.runs(grid.my_row())) {
-        for (la::Index k = 0; k < r.length; ++k) {
-          v(r.local_begin + k, 0) =
-              lanczos_entry<T>(seed, stream, r.global_begin + k);
-        }
-      }
-      R nrm = std::sqrt(real_part(global_dotc(v, v)));
-      la::scal(mloc, T(R(1) / nrm), v.data());
-      v_prev.set_zero();
-
-      alpha.clear();
-      beta.clear();
-      bool finite = std::isfinite(nrm) && nrm > R(0);
-      for (int j = 0; finite && j < steps; ++j) {
-        // w = H v (apply once: C -> B, then pure redistribution back to C).
-        h.apply_c2b(T(1), v.cview(), T(0), wb.view());
-        dist::redistribute_b2c<T>(grid, rmap, cmap, wb.cview(), w.view());
-        if (j > 0) {
-          la::axpy(mloc, T(-beta.back()), v_prev.data(), w.data());
-        }
-        const R a = real_part(global_dotc(v, w));
-        if (!std::isfinite(a)) {
-          finite = false;
-          break;
-        }
-        alpha.push_back(a);
-        la::axpy(mloc, T(-a), v.data(), w.data());
-        const R b = std::sqrt(real_part(global_dotc(w, w)));
-        if (!std::isfinite(b)) {
-          finite = false;
-          break;
-        }
-        if (j + 1 < steps) {
-          beta.push_back(b);
-          if (b == R(0)) break;  // invariant subspace found
-          std::swap(v_prev, v);
-          la::copy(w.cview(), v.view());
-          la::scal(mloc, T(R(1) / b), v.data());
-        } else {
-          beta.push_back(b);  // trailing beta: residual of the last step
-        }
-      }
-      run_ok = finite;
-      if (!run_ok) perf::bump_counter("lanczos.restart");
+  // Global inner products of matching columns over C-layout rows: local
+  // dots + one allreduce over the column communicator (identical on all
+  // grid columns by determinism). Columns outside `st` contribute zero.
+  const auto global_dots = [&](const la::Matrix<T>& a, const la::Matrix<T>& b,
+                               State st) {
+    for (la::Index c = 0; c < nv; ++c) {
+      dots[std::size_t(c)] = cols[std::size_t(c)].state == st
+                                 ? la::dotc(mloc, a.col(c), b.col(c))
+                                 : T(0);
     }
-    CHASE_CHECK_MSG(run_ok,
+    grid.col_comm().all_reduce(dots.data(), nv);
+  };
+
+  // Non-finite recurrence coefficients (an Inf/NaN in H, or corruption in
+  // transit) would silently poison the DoS estimate and hence every bound
+  // derived from it. Since alpha/beta come out of allreduces they are
+  // identical on all ranks, so every rank restarts the run with the same
+  // salted random stream; persistent breakdown means H itself contains
+  // non-finite entries and is reported as an error.
+  const auto restart = [&](Column& col) {
+    perf::bump_counter("lanczos.restart");
+    CHASE_CHECK_MSG(++col.attempt < 3,
                     "lanczos: non-finite recurrence coefficients persist "
                     "after re-randomized restarts (does H contain Inf/NaN?)");
+    col.state = State::kStart;
+  };
+  const auto stop = [&](Column& col, la::Index c) {
+    col.state = State::kDone;
+    std::fill(v.col(c), v.col(c) + mloc, T(0));
+  };
 
-    // Ritz values/weights of the tridiagonal (tiny, solved redundantly).
-    const int m = int(alpha.size());
-    la::Matrix<R> t(m, m), z(m, m);
-    for (int i = 0; i < m; ++i) {
-      t(i, i) = alpha[std::size_t(i)];
-      if (i + 1 < m) {
-        t(i, i + 1) = beta[std::size_t(i)];
-        t(i + 1, i) = beta[std::size_t(i)];
+  for (;;) {
+    while (in_state(State::kStart)) {
+      // Random normalized start vectors for every column that needs one.
+      for (la::Index c = 0; c < nv; ++c) {
+        const auto& col = cols[std::size_t(c)];
+        if (col.state != State::kStart) continue;
+        const auto stream = std::uint64_t(first_run + c) +
+                            std::uint64_t(col.attempt) * 100003;
+        for (const auto& r : rmap.runs(grid.my_row())) {
+          for (la::Index k = 0; k < r.length; ++k) {
+            v(r.local_begin + k, c) =
+                lanczos_entry<T>(seed, stream, r.global_begin + k);
+          }
+        }
+      }
+      global_dots(v, v, State::kStart);
+      for (la::Index c = 0; c < nv; ++c) {
+        auto& col = cols[std::size_t(c)];
+        if (col.state != State::kStart) continue;
+        const R nrm = std::sqrt(real_part(dots[std::size_t(c)]));
+        la::scal(mloc, T(R(1) / nrm), v.col(c));
+        runs[std::size_t(c)] = {};
+        if (!(std::isfinite(nrm) && nrm > R(0))) {
+          restart(col);
+        } else if (steps > 0) {
+          col.state = State::kActive;
+        } else {
+          stop(col, c);
+        }
       }
     }
-    std::vector<R> theta;
-    la::heevd(t.view(), theta, z.view());
-    const R beta_last = beta.empty() ? R(0) : std::abs(beta.back());
-    for (int k = 0; k < m; ++k) {
-      const R weight = real_part(conjugate(z(0, k)) * z(0, k));
-      dos.emplace_back(theta[std::size_t(k)], weight);
-      // Upper bound: top Ritz value plus its residual bound.
-      b_sup = std::max(b_sup,
-                       theta[std::size_t(k)] +
-                           beta_last * std::abs(real_part(z(m - 1, k))));
-      mu_1 = std::min(mu_1, theta[std::size_t(k)]);
+    if (!in_state(State::kActive)) break;
+
+    // w = H v (apply once: C -> B, then pure redistribution back to C).
+    h.apply_c2b(T(1), v.cview(), T(0), wb.view());
+    dist::redistribute_b2c<T>(grid, rmap, cmap, wb.cview(), w.view());
+    for (la::Index c = 0; c < nv; ++c) {
+      const auto& beta = runs[std::size_t(c)].beta;
+      if (cols[std::size_t(c)].state == State::kActive && !beta.empty()) {
+        la::axpy(mloc, T(-beta.back()), v_prev.col(c), w.col(c));
+      }
+    }
+    global_dots(v, w, State::kActive);
+    for (la::Index c = 0; c < nv; ++c) {
+      auto& col = cols[std::size_t(c)];
+      if (col.state != State::kActive) continue;
+      const R a = real_part(dots[std::size_t(c)]);
+      if (!std::isfinite(a)) {
+        restart(col);
+        continue;
+      }
+      runs[std::size_t(c)].alpha.push_back(a);
+      la::axpy(mloc, T(-a), v.col(c), w.col(c));
+    }
+    global_dots(w, w, State::kActive);
+    for (la::Index c = 0; c < nv; ++c) {
+      auto& col = cols[std::size_t(c)];
+      if (col.state != State::kActive) continue;
+      const R b = std::sqrt(real_part(dots[std::size_t(c)]));
+      if (!std::isfinite(b)) {
+        restart(col);
+        continue;
+      }
+      // The last step's beta is kept as the trailing residual; b == 0 means
+      // an invariant subspace was found.
+      auto& beta = runs[std::size_t(c)].beta;
+      beta.push_back(b);
+      if (int(beta.size()) == steps || b == R(0)) {
+        stop(col, c);
+        continue;
+      }
+      std::copy(v.col(c), v.col(c) + mloc, v_prev.col(c));
+      std::copy(w.col(c), w.col(c) + mloc, v.col(c));
+      la::scal(mloc, T(R(1) / b), v.col(c));
     }
   }
-  return {std::move(dos), b_sup, mu_1};
+  return runs;
 }
 
-}  // namespace detail
+/// Ritz values/weights of one run's tridiagonal (tiny, solved redundantly)
+/// appended to `q`, with b_sup and mu_1 updated from them.
+template <typename R>
+void add_ritz_pairs(const LanczosRun<R>& run, LanczosQuadrature<R>& q) {
+  const int m = int(run.alpha.size());
+  la::Matrix<R> t(m, m), z(m, m);
+  for (int i = 0; i < m; ++i) {
+    t(i, i) = run.alpha[std::size_t(i)];
+    if (i + 1 < m) {
+      t(i, i + 1) = run.beta[std::size_t(i)];
+      t(i + 1, i) = run.beta[std::size_t(i)];
+    }
+  }
+  std::vector<R> theta;
+  la::heevd(t.view(), theta, z.view());
+  const R beta_last = run.beta.empty() ? R(0) : std::abs(run.beta.back());
+  for (int k = 0; k < m; ++k) {
+    const R weight = real_part(conjugate(z(0, k)) * z(0, k));
+    q.dos.emplace_back(theta[std::size_t(k)], weight);
+    // Upper bound: top Ritz value plus its residual bound.
+    q.b_sup = std::max(q.b_sup,
+                       theta[std::size_t(k)] +
+                           beta_last * std::abs(real_part(z(m - 1, k))));
+    q.mu_1 = std::min(q.mu_1, theta[std::size_t(k)]);
+  }
+}
 
+/// All nvec runs in one lockstep block; the DoS pairs, b_sup and mu_1 are
+/// assembled per run in run order.
 template <typename HOp, typename T = typename HOp::Scalar>
-SpectralBounds<RealType<T>> lanczos_bounds(HOp& h,
-                                           la::Index ne, int steps, int nvec,
-                                           std::uint64_t seed) {
-  using R = RealType<T>;
-  const la::Index n = h.global_size();
-  auto quad = detail::lanczos_quadrature(h, steps, nvec, seed);
+LanczosQuadrature<RealType<T>> lanczos_quadrature(
+    HOp& h, int steps, int nvec, std::uint64_t seed) {
+  perf::RegionScope scope(perf::Region::kLanczos);
+  LanczosQuadrature<RealType<T>> q;
+  for (const auto& run : lanczos_runs(h, steps, 0, nvec, seed)) {
+    add_ritz_pairs(run, q);
+  }
+  return q;
+}
+
+/// b_sup, mu_1 and the DoS quantile mu_ne of `quad` (nvec runs on an n x n
+/// matrix, ne wanted pairs).
+template <typename R>
+SpectralBounds<R> spectral_bounds(LanczosQuadrature<R> quad, la::Index ne,
+                                  la::Index n, int nvec) {
   const R b_sup = quad.b_sup;
   const R mu_1 = quad.mu_1;
 
@@ -191,6 +273,17 @@ SpectralBounds<RealType<T>> lanczos_bounds(HOp& h,
   mu_ne = std::min(std::max(mu_ne, mu_1 + R(1e-8) * (b_sup - mu_1)),
                    b_sup - R(1e-8) * std::max(std::abs(b_sup), R(1)));
   return {b_sup, mu_1, mu_ne};
+}
+
+}  // namespace detail
+
+template <typename HOp, typename T = typename HOp::Scalar>
+SpectralBounds<RealType<T>> lanczos_bounds(HOp& h,
+                                           la::Index ne, int steps, int nvec,
+                                           std::uint64_t seed) {
+  return detail::spectral_bounds(
+      detail::lanczos_quadrature(h, steps, nvec, seed), ne, h.global_size(),
+      nvec);
 }
 
 }  // namespace chase::core

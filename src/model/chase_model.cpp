@@ -247,19 +247,17 @@ void replay_lanczos(const ChaseModelSetup& s, int steps, int nvec,
   const auto sz = sizes_of(s);
   ModelComm comm(t, s);
   const Region prev = t.set_region(Region::kLanczos);
-  for (int run = 0; run < nvec; ++run) {
-    // Initial normalization dot product.
-    comm.all_reduce(std::size_t(s.scalar_bytes), s.nprow, comm.col_topo);
-    for (int j = 0; j < steps; ++j) {
-      hemm_apply(s, sz, comm, t, 1, /*c2b=*/true);
-      // B -> C redistribution of the single column (row communicator).
-      comm.broadcast(std::size_t(sz.mloc) * std::size_t(s.scalar_bytes),
-                     s.npcol, comm.row_topo);
-      comm.all_reduce(std::size_t(s.scalar_bytes), s.nprow,
-                      comm.col_topo);  // alpha
-      comm.all_reduce(std::size_t(s.scalar_bytes), s.nprow,
-                      comm.col_topo);  // beta
-    }
+  // The nvec runs advance in lockstep as the columns of one block
+  // (core/lanczos.hpp), so every reduction carries one scalar per run.
+  const std::size_t scalars =
+      std::size_t(nvec) * std::size_t(s.scalar_bytes);
+  comm.all_reduce(scalars, s.nprow, comm.col_topo);  // start-vector norms
+  for (int j = 0; j < steps; ++j) {
+    hemm_apply(s, sz, comm, t, nvec, /*c2b=*/true);
+    // B -> C redistribution of the block (row communicator).
+    comm.broadcast(std::size_t(sz.mloc) * scalars, s.npcol, comm.row_topo);
+    comm.all_reduce(scalars, s.nprow, comm.col_topo);  // alphas
+    comm.all_reduce(scalars, s.nprow, comm.col_topo);  // betas
   }
   t.set_region(prev);
 }

@@ -92,7 +92,8 @@ std::vector<IterationShape> rescale_history(
 void replay_iteration(const ChaseModelSetup& s, const IterationShape& it,
                       perf::Tracker& t);
 
-/// Emit the Lanczos spectral-estimation events (steps x vectors matvecs).
+/// Emit the Lanczos spectral-estimation events: `steps` block applies of
+/// `nvec` columns (the runs advance in lockstep).
 void replay_lanczos(const ChaseModelSetup& s, int steps, int nvec,
                     perf::Tracker& t);
 

@@ -6,9 +6,12 @@
 
 #include <chrono>
 #include <complex>
+#include <cstring>
 #include <limits>
+#include <optional>
 
 #include "common/faultinject.hpp"
+#include "core/lanczos.hpp"
 #include "core/sequential.hpp"
 #include "gen/spectrum.hpp"
 #include "la/norms.hpp"
@@ -129,6 +132,69 @@ TEST(Recovery, TransientAllReduceCorruptionRestartsLanczos) {
   for (Index j = 0; j < cfg.nev; ++j) {
     EXPECT_NEAR(r.eigenvalues[std::size_t(j)],
                 clean.eigenvalues[std::size_t(j)], 1e-7);
+  }
+}
+
+TEST(Recovery, CorruptedNormAllReduceRestartsOnlyItsRun) {
+  // The first collective of the Lanczos block is the batched allreduce of
+  // the nvec start-vector norms; corrupting its element 0 must restart run
+  // 0 alone, on its salted stream, while runs 1..3 carry on untouched.
+  using T = double;
+  const Index n = 90;
+  const int steps = 25, nvec = 4;
+  auto h = gen::hermitian_with_spectrum<T>(
+      gen::uniform_spectrum<double>(n, -2.0, 2.0), 47);
+  for (int p : {1, 2}) {
+    SCOPED_TRACE(::testing::Message() << p << "x" << p << " grid");
+    std::vector<perf::Tracker> trackers(std::size_t(p * p));
+    comm::Team team(p * p);
+    const auto runs_on_grid = [&](bool corrupt) {
+      std::vector<std::vector<detail::LanczosRun<double>>> out(
+          std::size_t(p * p));
+      std::optional<fault::Scoped> armed;
+      if (corrupt) armed.emplace("allreduce.corrupt", /*rank=*/-1, /*times=*/1);
+      team.run(
+          [&](comm::Communicator& world) {
+            comm::Grid2d grid(world, p, p);
+            auto map = dist::IndexMap::block(n, p);
+            dist::DistHermitianMatrix<T> hd(grid, map, map);
+            hd.fill_from_global(h.cview());
+            out[std::size_t(world.rank())] =
+                detail::lanczos_runs(hd, steps, 0, nvec, 2023);
+          },
+          corrupt ? &trackers : nullptr);
+      if (corrupt) {
+        EXPECT_EQ(fault::fire_count("allreduce.corrupt"), p * p);
+      }
+      return out;
+    };
+    const auto clean = runs_on_grid(false);
+    const auto hit = runs_on_grid(true);
+    for (int r = 0; r < p * p; ++r) {
+      const auto& got = hit[std::size_t(r)];
+      const auto& want = clean[std::size_t(r)];
+      EXPECT_DOUBLE_EQ(trackers[std::size_t(r)].counter("lanczos.restart"),
+                       1.0);
+      ASSERT_EQ(got.size(), std::size_t(nvec));
+      // Run 0 restarted on another stream and still ran every step.
+      EXPECT_EQ(got[0].alpha.size(), std::size_t(steps));
+      EXPECT_NE(got[0].alpha, want[0].alpha);
+      for (const double a : got[0].alpha) EXPECT_TRUE(std::isfinite(a));
+      for (int run = 1; run < nvec; ++run) {
+        const auto& g = got[std::size_t(run)];
+        const auto& c = want[std::size_t(run)];
+        ASSERT_EQ(g.alpha.size(), c.alpha.size());
+        ASSERT_EQ(g.beta.size(), c.beta.size());
+        EXPECT_EQ(std::memcmp(g.alpha.data(), c.alpha.data(),
+                              g.alpha.size() * sizeof(double)),
+                  0)
+            << "run " << run;
+        EXPECT_EQ(std::memcmp(g.beta.data(), c.beta.data(),
+                              g.beta.size() * sizeof(double)),
+                  0)
+            << "run " << run;
+      }
+    }
   }
 }
 
