@@ -151,7 +151,8 @@ int main(int argc, char** argv) {
           chase::coll::ScopedAlgorithm policy(policy_kind);
           chase::coll::ScopedChunkBytes chunk_scope(chunk);
           std::string label(chase::coll::algorithm_name(policy_kind));
-          label += "/" + std::to_string(chunk >> 10) + "KiB";
+          label += "/";
+          label += std::to_string(chunk >> 10) + "KiB";
           points.push_back({"allreduce", label, policy_kind, chunk, p, bytes,
                             time_allreduce(p, bytes, iters)});
         }

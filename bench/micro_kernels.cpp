@@ -186,9 +186,7 @@ void sweep_gemm(const char* type_name, std::vector<GemmRow>& out) {
     auto b = random_mat<T>(n, n, 2);
     la::Matrix<T> c(n, n);
     const double flops = z * double(n) * double(n) * double(n);
-    for (la::GemmKernel kern :
-         {la::GemmKernel::kNaive, la::GemmKernel::kBlocked,
-          la::GemmKernel::kMicro}) {
+    for (la::GemmKernel kern : {la::GemmKernel::kNaive, la::GemmKernel::kMicro}) {
       la::ScopedGemmKernel scoped(kern);
       // The seed path runs minutes-per-call at n=1024; one repetition is
       // plenty at that duration, while the fast kernels take best-of-5.

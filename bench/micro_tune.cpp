@@ -3,8 +3,8 @@
 // Runs an in-process quick tuning pass (tune::run_tuning), persists the
 // profile to results/machine_profile.json, then times the same sequential
 // solve under (a) the installed tuned dispatch tables and (b) every fixed
-// single-policy configuration (GEMM {naive, blocked, micro} x factor
-// {naive, blocked} pinned for the whole solve). The acceptance signals,
+// single-policy configuration (GEMM {naive, micro} x factor {naive,
+// blocked} pinned for the whole solve). The acceptance signals,
 // emitted to results/bench_tune.json and gated by scripts/compare_bench.py:
 //
 //   * tuned <= 1.05x the best fixed configuration — consulting per-class
@@ -151,9 +151,8 @@ int main(int argc, char** argv) {
   };
 
   std::vector<FixedConfig> fixed;
-  for (const auto g : {chase::la::GemmKernel::kNaive,
-                       chase::la::GemmKernel::kBlocked,
-                       chase::la::GemmKernel::kMicro}) {
+  for (const auto g :
+       {chase::la::GemmKernel::kNaive, chase::la::GemmKernel::kMicro}) {
     for (const auto f :
          {chase::la::FactorKernel::kNaive, chase::la::FactorKernel::kBlocked}) {
       fixed.push_back({g, f, 0});

@@ -2,7 +2,7 @@
 # Build the tsan preset and run the thread-per-rank comm, fault-tolerance,
 # collective-engine, solver-engine, factorization, checkpoint and solver-
 # service suites (ctest labels: comm, fault, coll, engine, factor, ckpt, hier,
-# svc, tune) under ThreadSanitizer. The in-process SPMD runtime (comm::Team, the
+# svc, mixed, tune, policy) under ThreadSanitizer. The in-process SPMD runtime (comm::Team, the
 # poisoned-barrier protocol, the fault registry), the src/coll chunk
 # channels, the staged solver pipeline running one rank per thread, the
 # policy-dispatched factorization kernels called from those ranks, and the

@@ -269,14 +269,22 @@ void chase_checkpoint_disable(void) {
 
 int chase_set_precision(const char* name) {
   if (name == nullptr) return CHASE_INVALID_ARGUMENT;
-  auto parsed = chase::core::parse_precision(name);
-  if (!parsed) return CHASE_INVALID_ARGUMENT;
-  chase::core::set_precision(*parsed);
-  return CHASE_SUCCESS;
+  try {
+    auto parsed = chase::core::parse_precision(name);
+    if (!parsed) return CHASE_INVALID_ARGUMENT;
+    chase::core::precision_policy.set_raw(int(*parsed));
+    return CHASE_SUCCESS;
+  } catch (const chase::Error&) {
+    return CHASE_INVALID_ARGUMENT;
+  }
 }
 
 const char* chase_get_precision(void) {
-  return chase::core::precision_name(chase::core::precision()).data();
+  try {
+    return chase::core::precision_name(chase::core::precision()).data();
+  } catch (const chase::Error&) {
+    return nullptr;  // CHASE_PRECISION holds an unknown value
+  }
 }
 
 int chase_profile_load(const char* path) {

@@ -91,7 +91,9 @@ void chase_checkpoint_disable(void);
 int chase_set_precision(const char* name);
 
 /* Name of the currently active precision policy ("double" or "mixed");
- * static storage, do not free. */
+ * static storage, do not free. Returns NULL when the CHASE_PRECISION
+ * environment variable holds an unknown value and no chase_set_precision
+ * call has replaced it. */
 const char* chase_get_precision(void);
 
 /* ---- Runtime autotuner profiles (src/tune) ----

@@ -1,30 +1,31 @@
 // Checkpoint cadence policy.
 //
 // CHASE_CKPT_INTERVAL=k captures a snapshot every k-th iteration boundary
-// (0 or unset: checkpointing disabled). Programmatic overrides
-// (set_checkpoint_interval / ScopedCheckpointInterval) shadow the
-// environment — tests and the elastic restart driver use them so cadence is
+// (unset: checkpointing disabled). ScopedCheckpointInterval shadows the
+// environment — tests and the elastic restart driver use it so cadence is
 // never process-global state they cannot control.
 #pragma once
 
+#include <algorithm>
+
+#include "common/policy.hpp"
+
 namespace chase::ckpt {
 
-/// Effective capture cadence: the programmatic override if one is set,
-/// otherwise CHASE_CKPT_INTERVAL, otherwise 0 (disabled).
-int checkpoint_interval();
+inline constinit policy::Knob interval_knob{"CHASE_CKPT_INTERVAL",
+                                            policy::positive};
 
-/// Override the cadence (-1 clears the override, restoring the env value).
-void set_checkpoint_interval(int interval);
+/// Effective capture cadence: the pinned or CHASE_CKPT_INTERVAL value, else
+/// 0 (disabled).
+inline int checkpoint_interval() {
+  return int(std::max<long long>(interval_knob.raw(), 0));
+}
 
-class ScopedCheckpointInterval {
+/// Pins cadence `interval` (0 = disabled) for the guard's lifetime.
+class ScopedCheckpointInterval : public policy::Scoped {
  public:
-  explicit ScopedCheckpointInterval(int interval) {
-    set_checkpoint_interval(interval);
-  }
-  ~ScopedCheckpointInterval() { set_checkpoint_interval(-1); }
-  ScopedCheckpointInterval(const ScopedCheckpointInterval&) = delete;
-  ScopedCheckpointInterval& operator=(const ScopedCheckpointInterval&) =
-      delete;
+  explicit ScopedCheckpointInterval(int interval)
+      : Scoped(interval_knob, interval) {}
 };
 
 }  // namespace chase::ckpt

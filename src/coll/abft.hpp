@@ -43,6 +43,7 @@
 #include "ckpt/checksum.hpp"
 #include "comm/reduction.hpp"
 #include "common/check.hpp"
+#include "common/policy.hpp"
 #include "common/scalar.hpp"
 #include "la/matrix.hpp"
 #include "perf/tracker.hpp"
@@ -51,18 +52,19 @@ namespace chase::coll {
 
 using la::Index;
 
-/// CHASE_ABFT env knob (default off), shadowed by set_abft/ScopedAbft.
-bool abft_enabled();
+/// CHASE_ABFT parser: "0", "off" and "false" disarm, any other value arms.
+inline long long parse_abft(const char*, const std::string& text) {
+  return text == "0" || text == "off" || text == "false" ? 0 : 1;
+}
 
-/// Programmatic override: 1 on, 0 off, -1 back to the environment value.
-void set_abft(int on);
+/// CHASE_ABFT knob (default off): raw 1 armed, 0 disarmed.
+inline constinit policy::Knob abft_knob{"CHASE_ABFT", parse_abft};
 
-class ScopedAbft {
+inline bool abft_enabled() { return abft_knob.raw() > 0; }
+
+class ScopedAbft : public policy::Scoped {
  public:
-  explicit ScopedAbft(bool on) { set_abft(on ? 1 : 0); }
-  ~ScopedAbft() { set_abft(-1); }
-  ScopedAbft(const ScopedAbft&) = delete;
-  ScopedAbft& operator=(const ScopedAbft&) = delete;
+  explicit ScopedAbft(bool on) : Scoped(abft_knob, on ? 1 : 0) {}
 };
 
 /// Replay budget per protected collective before escalating.

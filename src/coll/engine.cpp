@@ -1,63 +1,17 @@
 #include "coll/engine.hpp"
 
-#include <atomic>
-#include <cstdlib>
 #include <initializer_list>
 #include <limits>
-#include <string>
 
-#include "common/env.hpp"
 #include "perf/cost_model.hpp"
 #include "perf/machine.hpp"
 #include "perf/tuned.hpp"
-
-// Build-time default policy, plumbed through the CMake cache variable
-// CHASE_DEFAULT_COLL_ALGO (CMakePresets.json).
-#ifndef CHASE_COLL_DEFAULT_ALGO
-#define CHASE_COLL_DEFAULT_ALGO "naive"
-#endif
 
 namespace chase::coll {
 
 namespace {
 
 constexpr std::size_t kDefaultChunkBytes = std::size_t(64) << 10;
-constexpr int kNoOverride = -1;
-
-Algorithm build_default_algorithm() {
-  return parse_algorithm(CHASE_COLL_DEFAULT_ALGO).value_or(Algorithm::kNaive);
-}
-
-// Explicit override slot: kNoOverride until the CHASE_COLL_ALGO env var
-// (read once, at first use) or set_algorithm() pins a policy.
-std::atomic<int>& algo_slot() {
-  static std::atomic<int> slot = [] {
-    int raw = kNoOverride;
-    if (const auto env = env::text_env("CHASE_COLL_ALGO")) {
-      const auto parsed = parse_algorithm(*env);
-      if (!parsed) {
-        env::reject("CHASE_COLL_ALGO", *env, "unknown policy",
-                    "naive | ring | tree | hier | auto");
-      }
-      raw = int(*parsed);
-    }
-    return std::atomic<int>(raw);
-  }();
-  return slot;
-}
-
-// Explicit chunk-size override (-1 = none): CHASE_COLL_CHUNK_BYTES or
-// set_chunk_bytes().
-std::atomic<long long>& chunk_slot() {
-  static std::atomic<long long> slot = [] {
-    long long raw = kNoOverride;
-    if (auto v = env::positive_env("CHASE_COLL_CHUNK_BYTES")) {
-      raw = *v;
-    }
-    return std::atomic<long long>(raw);
-  }();
-  return slot;
-}
 
 perf::CollAlgo routine_algo(Routine r) {
   switch (r) {
@@ -116,22 +70,6 @@ Routine hier_routine(perf::CollKind kind) {
 
 }  // namespace
 
-std::string_view algorithm_name(Algorithm a) {
-  switch (a) {
-    case Algorithm::kRing:
-      return "ring";
-    case Algorithm::kTree:
-      return "tree";
-    case Algorithm::kHier:
-      return "hier";
-    case Algorithm::kAuto:
-      return "auto";
-    case Algorithm::kNaive:
-    default:
-      return "naive";
-  }
-}
-
 std::string_view routine_name(Routine r) {
   switch (r) {
     case Routine::kRingAllReduce:
@@ -156,71 +94,25 @@ std::string_view routine_name(Routine r) {
   }
 }
 
-std::optional<Algorithm> parse_algorithm(std::string_view name) {
-  if (name == "naive") return Algorithm::kNaive;
-  if (name == "ring") return Algorithm::kRing;
-  if (name == "tree") return Algorithm::kTree;
-  if (name == "hier") return Algorithm::kHier;
-  if (name == "auto") return Algorithm::kAuto;
-  return std::nullopt;
-}
-
 bool is_hierarchical(Routine r) {
   return r == Routine::kHierAllReduce || r == Routine::kHierAllGather ||
          r == Routine::kHierBroadcast;
 }
 
-Algorithm algorithm() {
-  const int raw = algo_slot().load(std::memory_order_relaxed);
-  return raw == kNoOverride ? build_default_algorithm() : Algorithm(raw);
-}
-
-void set_algorithm(Algorithm a) {
-  algo_slot().store(int(a), std::memory_order_relaxed);
-}
-
-bool algorithm_overridden() {
-  return algo_slot().load(std::memory_order_relaxed) != kNoOverride;
-}
-
-int raw_algorithm_override() {
-  return algo_slot().load(std::memory_order_relaxed);
-}
-
-void set_raw_algorithm_override(int raw) {
-  algo_slot().store(raw, std::memory_order_relaxed);
-}
-
 Algorithm algorithm_for(perf::CollKind kind, std::size_t bytes) {
-  const int raw = algo_slot().load(std::memory_order_relaxed);
-  if (raw != kNoOverride) return Algorithm(raw);
-  if (const perf::TunedTables* t = perf::tuned_tables()) {
-    const int tuned = t->coll_algo[int(kind)][int(perf::msg_class(bytes))];
-    if (tuned >= 0) return Algorithm(tuned);
-  }
-  return build_default_algorithm();
+  const perf::TunedTables* t = perf::tuned_tables();
+  if (t == nullptr) return algorithm_policy.resolve();
+  return algorithm_policy.resolve(
+      t->coll_algo[int(kind)][int(perf::msg_class(bytes))]);
 }
 
 std::size_t chunk_bytes() {
-  const long long raw = chunk_slot().load(std::memory_order_relaxed);
-  if (raw > 0) return std::size_t(raw);
+  const long long raw = chunk_knob.raw();
+  if (raw != policy::kNone) return std::size_t(raw);
   if (const perf::TunedTables* t = perf::tuned_tables()) {
     if (t->chunk_bytes > 0) return std::size_t(t->chunk_bytes);
   }
   return kDefaultChunkBytes;
-}
-
-void set_chunk_bytes(std::size_t bytes) {
-  chunk_slot().store(bytes == 0 ? 1 : (long long)bytes,
-                     std::memory_order_relaxed);
-}
-
-long long raw_chunk_override() {
-  return chunk_slot().load(std::memory_order_relaxed);
-}
-
-void set_raw_chunk_override(long long raw) {
-  chunk_slot().store(raw, std::memory_order_relaxed);
 }
 
 bool overlap_enabled() { return algorithm() == Algorithm::kAuto; }

@@ -1,4 +1,4 @@
-// Algorithm policy for the collective engine.
+// Algorithm policy for the collective engine (a common/policy.hpp policy).
 //
 // Mirrors the paper's MPI -> NCCL switch: the naive publish-and-sync path
 // stands in for the single-shot MPI collective, while the chunked channel
@@ -6,9 +6,7 @@
 // src/coll) reproduce the algorithmic side of NCCL. The policy is
 // process-global:
 //
-//   CHASE_COLL_ALGO = naive | ring | tree | hier | auto   (default: naive,
-//       or the CMake cache variable CHASE_DEFAULT_COLL_ALGO baked into the
-//       build; an unknown value throws env::ConfigError at first use)
+//   CHASE_COLL_ALGO = naive | ring | tree | hier | auto   (default: naive)
 //   CHASE_COLL_CHUNK_BYTES = pipelining granularity (default 64 KiB)
 //
 // `auto` picks per call by minimizing the extended alpha-beta-gamma cost
@@ -25,6 +23,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/policy.hpp"
 #include "perf/backend.hpp"
 #include "perf/cost_model.hpp"
 #include "perf/tracker.hpp"
@@ -46,45 +45,43 @@ enum class Routine : int {
   kHierBroadcast,
 };
 
-std::string_view algorithm_name(Algorithm a);
+inline constinit policy::Policy<Algorithm, 5> algorithm_policy{
+    "CHASE_COLL_ALGO",
+    {"naive", "ring", "tree", "hier", "auto"},
+    Algorithm::kNaive};
+using ScopedAlgorithm = policy::Pin<algorithm_policy>;
+
+inline std::string_view algorithm_name(Algorithm a) {
+  return algorithm_policy.name(a);
+}
+inline std::optional<Algorithm> parse_algorithm(std::string_view name) {
+  return algorithm_policy.parse(name);
+}
 std::string_view routine_name(Routine r);
-std::optional<Algorithm> parse_algorithm(std::string_view name);
 
 /// True for the two-level routines (dispatched over grouped
 /// sub-communicators).
 bool is_hierarchical(Routine r);
 
-/// Effective process-wide policy: the explicit override when one is set
-/// (CHASE_COLL_ALGO at first use — a set-but-unknown value throws
-/// env::ConfigError — or set_algorithm), else the build-time default.
-/// Size-oblivious; the dispatcher uses algorithm_for().
-Algorithm algorithm();
+/// Size-oblivious effective policy: the override, else the default.
+inline Algorithm algorithm() { return algorithm_policy.resolve(); }
 
-/// Pin an explicit override. Overrides beat any loaded machine profile
-/// (the autotuner contract, DESIGN.md §15).
-void set_algorithm(Algorithm a);
-
-/// True when an explicit override (env or set_algorithm) is pinned.
-bool algorithm_overridden();
-
-/// Raw override slot for exact save/restore (-1 = no override).
-int raw_algorithm_override();
-void set_raw_algorithm_override(int raw);
-
-/// Size-aware policy for one collective call: override > per-(kind,
-/// message-size-class) machine-profile entry (perf::tuned_tables()) >
-/// built-in default. `bytes` follows the Tracker convention.
+/// Policy for one collective call; `bytes` follows the Tracker convention.
 Algorithm algorithm_for(perf::CollKind kind, std::size_t bytes);
 
-/// Pipelining granularity in bytes (>= 1): explicit override
-/// (CHASE_COLL_CHUNK_BYTES or set_chunk_bytes) > machine-profile
+/// CHASE_COLL_CHUNK_BYTES knob (strictly positive).
+inline constinit policy::Knob chunk_knob{"CHASE_COLL_CHUNK_BYTES",
+                                         policy::positive};
+
+/// Pipelining granularity in bytes (>= 1): override > machine-profile
 /// chunk_bytes > built-in 64 KiB default.
 std::size_t chunk_bytes();
-void set_chunk_bytes(std::size_t bytes);
 
-/// Raw chunk override for exact save/restore (-1 = no override).
-long long raw_chunk_override();
-void set_raw_chunk_override(long long raw);
+class ScopedChunkBytes : public policy::Scoped {
+ public:
+  explicit ScopedChunkBytes(std::size_t bytes)
+      : Scoped(chunk_knob, bytes == 0 ? 1 : (long long)bytes) {}
+};
 
 /// True when the nonblocking overlap pipeline (dist_matrix::apply_impl
 /// splitting the HEMM into column blocks and overlapping block k+1's compute
@@ -129,33 +126,5 @@ std::vector<CollPhase> hier_phases(perf::CollKind kind, std::size_t bytes,
 /// multi-phase collective really moves.
 void account_phases(perf::Tracker* t, perf::Backend backend,
                     const std::vector<CollPhase>& phases, bool bracketed);
-
-/// RAII policy override for tests and benches. Restores the previous raw
-/// override state (including "none") on exit.
-class ScopedAlgorithm {
- public:
-  explicit ScopedAlgorithm(Algorithm a) : prev_(raw_algorithm_override()) {
-    set_algorithm(a);
-  }
-  ~ScopedAlgorithm() { set_raw_algorithm_override(prev_); }
-  ScopedAlgorithm(const ScopedAlgorithm&) = delete;
-  ScopedAlgorithm& operator=(const ScopedAlgorithm&) = delete;
-
- private:
-  int prev_;
-};
-
-class ScopedChunkBytes {
- public:
-  explicit ScopedChunkBytes(std::size_t bytes) : prev_(raw_chunk_override()) {
-    set_chunk_bytes(bytes);
-  }
-  ~ScopedChunkBytes() { set_raw_chunk_override(prev_); }
-  ScopedChunkBytes(const ScopedChunkBytes&) = delete;
-  ScopedChunkBytes& operator=(const ScopedChunkBytes&) = delete;
-
- private:
-  long long prev_;
-};
 
 }  // namespace chase::coll

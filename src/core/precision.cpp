@@ -1,30 +1,10 @@
 #include "core/precision.hpp"
 
-#include <atomic>
-#include <cstdlib>
 #include <mutex>
-
-// Build-time default policy, plumbed through the CMake cache variable
-// CHASE_DEFAULT_PRECISION (CMakePresets.json).
-#ifndef CHASE_DEFAULT_PRECISION_NAME
-#define CHASE_DEFAULT_PRECISION_NAME "double"
-#endif
 
 namespace chase::core {
 
 namespace {
-
-std::atomic<int>& precision_slot() {
-  static std::atomic<int> slot = [] {
-    Precision p = parse_precision(CHASE_DEFAULT_PRECISION_NAME)
-                      .value_or(Precision::kDouble);
-    if (const char* env = std::getenv("CHASE_PRECISION")) {
-      if (auto parsed = parse_precision(env)) p = *parsed;
-    }
-    return std::atomic<int>(int(p));
-  }();
-  return slot;
-}
 
 // The promotion config is a small aggregate, not an atomic word; guarded by
 // a mutex (read once per solve at setup, never on the hot path).
@@ -39,30 +19,6 @@ PromotionSlot& promotion_slot() {
 }
 
 }  // namespace
-
-std::string_view precision_name(Precision p) {
-  switch (p) {
-    case Precision::kMixed:
-      return "mixed";
-    case Precision::kDouble:
-    default:
-      return "double";
-  }
-}
-
-std::optional<Precision> parse_precision(std::string_view name) {
-  if (name == "double") return Precision::kDouble;
-  if (name == "mixed") return Precision::kMixed;
-  return std::nullopt;
-}
-
-Precision precision() {
-  return Precision(precision_slot().load(std::memory_order_relaxed));
-}
-
-void set_precision(Precision p) {
-  precision_slot().store(int(p), std::memory_order_relaxed);
-}
 
 engine::PromotionConfig promotion_config() {
   auto& slot = promotion_slot();

@@ -1,11 +1,8 @@
-// Runtime precision policy for the solver pipeline.
+// Runtime precision policy for the solver pipeline (a common/policy.hpp
+// policy): the process picks one solve precision for every core::solve /
+// solve_lms call,
 //
-// Mirrors the kernel policies (src/la/gemm_policy.hpp, src/coll/engine.hpp):
-// the process picks one solve precision for every core::solve / solve_lms
-// call,
-//
-//   CHASE_PRECISION = double | mixed   (default: the CMake cache variable
-//       CHASE_DEFAULT_PRECISION baked into the build)
+//   CHASE_PRECISION = double | mixed   (default: double)
 //
 //   double — every kernel runs in the working scalar type; bitwise identical
 //            to the pre-mixed-precision library.
@@ -17,7 +14,6 @@
 //            and one step of iterative refinement polishes pairs before
 //            they lock.
 //
-// The policy is process-global and cheap to read (one relaxed atomic load);
 // ScopedPrecision lets benches and tests flip it per section. Single-
 // precision instantiations (T = float / complex<float>) ignore the policy —
 // there is nothing lower to demote into.
@@ -26,33 +22,25 @@
 #include <optional>
 #include <string_view>
 
+#include "common/policy.hpp"
 #include "core/engine/promotion.hpp"
 
 namespace chase::core {
 
 enum class Precision : int { kDouble = 0, kMixed };
 
-std::string_view precision_name(Precision p);
-std::optional<Precision> parse_precision(std::string_view name);
+inline constinit policy::Policy<Precision, 2> precision_policy{
+    "CHASE_PRECISION", {"double", "mixed"}, Precision::kDouble};
+using ScopedPrecision = policy::Pin<precision_policy>;
 
-/// Process-global policy; initialized from CHASE_PRECISION (falling back to
-/// the build-time default) on first use.
-Precision precision();
-void set_precision(Precision p);
+inline std::string_view precision_name(Precision p) {
+  return precision_policy.name(p);
+}
+inline std::optional<Precision> parse_precision(std::string_view name) {
+  return precision_policy.parse(name);
+}
 
-/// RAII policy override for benches and tests.
-class ScopedPrecision {
- public:
-  explicit ScopedPrecision(Precision p) : prev_(precision()) {
-    set_precision(p);
-  }
-  ~ScopedPrecision() { set_precision(prev_); }
-  ScopedPrecision(const ScopedPrecision&) = delete;
-  ScopedPrecision& operator=(const ScopedPrecision&) = delete;
-
- private:
-  Precision prev_;
-};
+inline Precision precision() { return precision_policy.resolve(); }
 
 /// Process-global promotion-policy tuning the mixed backend reads at setup;
 /// tests pin aggressive configs through ScopedPromotionConfig to drive the

@@ -1,95 +1,11 @@
 #include "la/factor/policy.hpp"
 
-#include <atomic>
-#include <cstdlib>
-
-// Build-time default policy, plumbed through the CMake cache variable
-// CHASE_DEFAULT_FACTOR_KERNEL (CMakePresets.json).
-#ifndef CHASE_FACTOR_DEFAULT_KERNEL
-#define CHASE_FACTOR_DEFAULT_KERNEL "blocked"
-#endif
-
 namespace chase::la {
 
-namespace {
-
-constexpr int kNoOverride = -1;
-
-FactorKernel build_default_kernel() {
-  return parse_factor_kernel(CHASE_FACTOR_DEFAULT_KERNEL)
-      .value_or(FactorKernel::kBlocked);
-}
-
-// Explicit override slot: kNoOverride until the CHASE_FACTOR_KERNEL env var
-// (read once, at first use) or set_factor_kernel() pins a kernel.
-std::atomic<int>& override_slot() {
-  static std::atomic<int> slot = [] {
-    int raw = kNoOverride;
-    if (const char* env = std::getenv("CHASE_FACTOR_KERNEL")) {
-      if (auto parsed = parse_factor_kernel(env)) raw = int(*parsed);
-    }
-    return std::atomic<int>(raw);
-  }();
-  return slot;
-}
-
-}  // namespace
-
-std::string_view factor_kernel_name(FactorKernel k) {
-  switch (k) {
-    case FactorKernel::kNaive:
-      return "naive";
-    case FactorKernel::kBlocked:
-    default:
-      return "blocked";
-  }
-}
-
-std::string_view factor_kernel_counter(FactorKernel k) {
-  switch (k) {
-    case FactorKernel::kNaive:
-      return "la.factor.naive.calls";
-    case FactorKernel::kBlocked:
-    default:
-      return "la.factor.blocked.calls";
-  }
-}
-
-std::optional<FactorKernel> parse_factor_kernel(std::string_view name) {
-  if (name == "naive") return FactorKernel::kNaive;
-  if (name == "blocked") return FactorKernel::kBlocked;
-  return std::nullopt;
-}
-
-FactorKernel factor_kernel() {
-  const int raw = override_slot().load(std::memory_order_relaxed);
-  return raw == kNoOverride ? build_default_kernel() : FactorKernel(raw);
-}
-
-void set_factor_kernel(FactorKernel k) {
-  override_slot().store(int(k), std::memory_order_relaxed);
-}
-
-bool factor_kernel_overridden() {
-  return override_slot().load(std::memory_order_relaxed) != kNoOverride;
-}
-
-int raw_factor_kernel_override() {
-  return override_slot().load(std::memory_order_relaxed);
-}
-
-void set_raw_factor_kernel_override(int raw) {
-  override_slot().store(raw, std::memory_order_relaxed);
-}
-
 FactorKernel factor_kernel_for(Index n) {
-  const int raw = override_slot().load(std::memory_order_relaxed);
-  if (raw != kNoOverride) return FactorKernel(raw);
-  if (const perf::TunedTables* t = perf::tuned_tables()) {
-    const int tuned = t->factor_kernel[int(perf::factor_n_class(n))];
-    if (tuned >= 0) return FactorKernel(tuned);
-  }
-  return build_default_kernel();
+  const perf::TunedTables* t = perf::tuned_tables();
+  if (t == nullptr) return factor_policy.resolve();
+  return factor_policy.resolve(t->factor_kernel[int(perf::factor_n_class(n))]);
 }
 
 }  // namespace chase::la

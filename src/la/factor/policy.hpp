@@ -1,11 +1,9 @@
-// Runtime policy for the blocked factorization engine (src/la/factor/).
+// Runtime policy for the blocked factorization engine (src/la/factor/), a
+// common/policy.hpp policy: the process picks one of two kernel
+// implementations for every TRSM/TRMM/POTRF/HERK/HETRD and compact-WY
+// (larft/larfb) call,
 //
-// Mirrors the gemm policy (src/la/gemm_policy.hpp): the process picks one of
-// two kernel implementations for every TRSM/TRMM/POTRF/HERK/HETRD and
-// compact-WY (larft/larfb) call,
-//
-//   CHASE_FACTOR_KERNEL = naive | blocked   (default: the CMake cache
-//       variable CHASE_DEFAULT_FACTOR_KERNEL baked into the build)
+//   CHASE_FACTOR_KERNEL = naive | blocked   (default: blocked)
 //
 //   naive   — the seed scalar kernels: per-column axpy substitution,
 //             left-looking scalar POTRF, dotc Gram loops, per-reflector
@@ -20,26 +18,24 @@
 //             CholeskyQR and the Rayleigh-Ritz HEEVD from cache-hostile
 //             scalar loops into micro-kernel flops.
 //
-// Resolution order per call (the autotuner contract, DESIGN.md §15):
-//   1. explicit override — the CHASE_FACTOR_KERNEL env var or a
-//      set_factor_kernel()/ScopedFactorKernel guard;
-//   2. loaded machine profile — the per-triangular-size-class winner from
-//      perf::tuned_tables() (installed by tune::install_profile);
-//   3. built-in default — the build-time CHASE_DEFAULT_FACTOR_KERNEL.
-//
-// The policy is process-global and cheap to read (one relaxed atomic load);
-// ScopedFactorKernel lets benches and tests flip it per section.
+// Per call: override > the per-triangular-size-class winner of a loaded
+// machine profile > blocked (DESIGN.md §15).
 #pragma once
 
 #include <optional>
 #include <string_view>
 
+#include "common/policy.hpp"
 #include "la/matrix.hpp"
 #include "perf/tuned.hpp"
 
 namespace chase::la {
 
 enum class FactorKernel : int { kNaive = 0, kBlocked };
+
+inline constinit policy::Policy<FactorKernel, 2> factor_policy{
+    "CHASE_FACTOR_KERNEL", {"naive", "blocked"}, FactorKernel::kBlocked};
+using ScopedFactorKernel = policy::Pin<factor_policy>;
 
 /// Panel width of every blocked factorization kernel. Blocked kernels fall
 /// back to the naive path whenever the triangular dimension fits in one
@@ -48,46 +44,23 @@ enum class FactorKernel : int { kNaive = 0, kBlocked };
 /// lowering pays.
 inline constexpr Index kFactorBlock = 64;
 
-std::string_view factor_kernel_name(FactorKernel k);
-std::optional<FactorKernel> parse_factor_kernel(std::string_view name);
+inline std::string_view factor_kernel_name(FactorKernel k) {
+  return factor_policy.name(k);
+}
+inline std::optional<FactorKernel> parse_factor_kernel(std::string_view name) {
+  return factor_policy.parse(name);
+}
 
 /// Per-call Tracker counter name for a kernel ("la.factor.<name>.calls").
-std::string_view factor_kernel_counter(FactorKernel k);
+inline std::string_view factor_kernel_counter(FactorKernel k) {
+  return k == FactorKernel::kNaive ? "la.factor.naive.calls"
+                                   : "la.factor.blocked.calls";
+}
 
-/// Effective process-wide policy: the explicit override when one is set
-/// (CHASE_FACTOR_KERNEL at first use, or set_factor_kernel), else the
-/// build-time default. Shape-oblivious — the dispatchers use
-/// factor_kernel_for().
-FactorKernel factor_kernel();
+/// Shape-oblivious effective policy: the override, else the default.
+inline FactorKernel factor_kernel() { return factor_policy.resolve(); }
 
-/// Pin an explicit override. Overrides beat any loaded profile.
-void set_factor_kernel(FactorKernel k);
-
-/// True when an explicit override (env or set_factor_kernel) is pinned.
-bool factor_kernel_overridden();
-
-/// Raw override slot for exact save/restore (-1 = no override).
-int raw_factor_kernel_override();
-void set_raw_factor_kernel_override(int raw);
-
-/// Shape-aware kernel choice for one factorization over an n x n triangle:
-/// override > profile table entry > built-in default.
+/// Kernel for one factorization over an n x n triangle.
 FactorKernel factor_kernel_for(Index n);
-
-/// RAII policy override for benches and tests. Restores the previous raw
-/// override state (including "none") on exit.
-class ScopedFactorKernel {
- public:
-  explicit ScopedFactorKernel(FactorKernel k)
-      : prev_(raw_factor_kernel_override()) {
-    set_factor_kernel(k);
-  }
-  ~ScopedFactorKernel() { set_raw_factor_kernel_override(prev_); }
-  ScopedFactorKernel(const ScopedFactorKernel&) = delete;
-  ScopedFactorKernel& operator=(const ScopedFactorKernel&) = delete;
-
- private:
-  int prev_;
-};
 
 }  // namespace chase::la

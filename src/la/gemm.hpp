@@ -4,16 +4,14 @@
 //
 // gemm() is a policy-dispatched engine (CHASE_GEMM_KERNEL, gemm_policy.hpp):
 //
-//   naive   — unblocked triple loop, the reference oracle;
-//   blocked — the seed path: L2 cache blocking, packed operand panels,
-//             two-way-unrolled rank-1-update inner kernel;
-//   micro   — five-loop BLIS-style engine with a register-tiled mr x nr
-//             micro-kernel over packed micro-panels (gemm_micro.hpp).
+//   naive — unblocked triple loop, the reference oracle;
+//   micro — five-loop BLIS-style engine with a register-tiled mr x nr
+//           micro-kernel over packed micro-panels (gemm_micro.hpp).
 //
-// All three fold the beta pre-scale of C into the first k-panel pass instead
-// of a separate full sweep, and the packing paths draw from a per-thread
-// reusable buffer pool, so the filter's inner HEMM loop neither re-reads C
-// an extra time nor allocates per call. Every call records its flop count,
+// micro folds the beta pre-scale of C into the first k-panel pass instead of
+// a separate full sweep, and its packing draws from a per-thread reusable
+// buffer pool, so the filter's inner HEMM loop neither re-reads C an extra
+// time nor allocates per call. Every call records its flop count,
 // wall time and kernel choice on the thread's perf::Tracker ("la.gemm.flops",
 // "la.gemm.seconds", "la.kernel.<name>.calls") — the measured Gflop/s feed
 // the machine-model calibration (perf::calibrate_gemm_rate).
@@ -31,60 +29,6 @@
 namespace chase::la {
 
 namespace detail {
-
-// Blocking parameters of the seed `blocked` path: a (kc x nc) panel of B
-// plus an (mc x kc) panel of A stay resident in L2 while the inner kernel
-// streams C.
-inline constexpr Index kBlockM = 192;
-inline constexpr Index kBlockN = 96;
-inline constexpr Index kBlockK = 224;
-
-/// Pack block [r0, r0+nr) x [c0, c0+nc) of op(A) column-major into buf.
-template <typename T>
-inline void pack_block(Op op, ConstMatrixView<T> a, Index r0, Index c0,
-                       Index nr, Index nc, T* buf) {
-  if (op == Op::kNoTrans) {
-    for (Index j = 0; j < nc; ++j) {
-      const T* src = a.col(c0 + j) + r0;
-      T* dst = buf + j * nr;
-      for (Index i = 0; i < nr; ++i) dst[i] = src[i];
-    }
-  } else if (op == Op::kTrans) {
-    for (Index j = 0; j < nc; ++j) {
-      T* dst = buf + j * nr;
-      for (Index i = 0; i < nr; ++i) dst[i] = a(c0 + j, r0 + i);
-    }
-  } else {
-    for (Index j = 0; j < nc; ++j) {
-      T* dst = buf + j * nr;
-      for (Index i = 0; i < nr; ++i) dst[i] = conjugate(a(c0 + j, r0 + i));
-    }
-  }
-}
-
-/// C(mc x nc) += packed A(mc x kc) * packed B(kc x nc); unit-stride in i.
-template <typename T>
-inline void kernel_nn(Index mc, Index nc, Index kc, const T* pa, const T* pb,
-                      T* c, Index ldc) {
-  for (Index j = 0; j < nc; ++j) {
-    T* cj = c + j * ldc;
-    const T* bj = pb + j * kc;
-    Index l = 0;
-    // Two-way unrolled rank-1 updates amortize the column reload of C.
-    for (; l + 1 < kc; l += 2) {
-      const T b0 = bj[l];
-      const T b1 = bj[l + 1];
-      const T* a0 = pa + l * mc;
-      const T* a1 = pa + (l + 1) * mc;
-      for (Index i = 0; i < mc; ++i) cj[i] += a0[i] * b0 + a1[i] * b1;
-    }
-    for (; l < kc; ++l) {
-      const T b0 = bj[l];
-      const T* a0 = pa + l * mc;
-      for (Index i = 0; i < mc; ++i) cj[i] += a0[i] * b0;
-    }
-  }
-}
 
 /// C tile = beta * C tile (beta == 1 is a no-op; the dispatcher never routes
 /// beta == 1 here pointlessly because scaling is cheap to skip inline).
@@ -117,40 +61,6 @@ void gemm_naive(T alpha, Op opa, ConstMatrixView<T> a, Op opb,
         acc += op_elem(opa, a, i, l) * op_elem(opb, b, l, j);
       }
       c(i, j) = alpha * acc + (beta == T(0) ? T(0) : beta * c(i, j));
-    }
-  }
-}
-
-/// The seed cache-blocked path. beta is folded into the first k panel: each
-/// C tile is scaled right before the l0 == 0 rank-1 updates touch it, so the
-/// pre-scale rides on a pass that loads the tile anyway.
-template <typename T>
-void gemm_blocked(T alpha, Op opa, ConstMatrixView<T> a, Op opb,
-                  ConstMatrixView<T> b, T beta, MatrixView<T> c) {
-  const Index m = c.rows();
-  const Index n = c.cols();
-  const Index k = op_cols(opa, a);
-
-  auto& pool = pack_pool<T>();
-  T* pa = pool.buf_a(std::size_t(kBlockM) * kBlockK);
-  T* pb = pool.buf_b(std::size_t(kBlockK) * kBlockN);
-
-  for (Index j0 = 0; j0 < n; j0 += kBlockN) {
-    const Index nc = std::min<Index>(kBlockN, n - j0);
-    for (Index l0 = 0; l0 < k; l0 += kBlockK) {
-      const Index kc = std::min<Index>(kBlockK, k - l0);
-      pack_block(opb, b, l0, j0, kc, nc, pb);
-      // Fold alpha into the packed B panel once per (k, n) tile.
-      if (alpha != T(1)) {
-        scal(kc * nc, alpha, pb);
-      }
-      for (Index i0 = 0; i0 < m; i0 += kBlockM) {
-        const Index mc = std::min<Index>(kBlockM, m - i0);
-        T* ctile = c.data() + i0 + j0 * c.ld();
-        if (l0 == 0) scale_tile(beta, mc, nc, ctile, c.ld());
-        pack_block(opa, a, i0, l0, mc, kc, pa);
-        kernel_nn(mc, nc, kc, pa, pb, ctile, c.ld());
-      }
     }
   }
 }
@@ -203,9 +113,6 @@ void gemm(T alpha, Op opa, ConstMatrixView<T> a, Op opb, ConstMatrixView<T> b,
   switch (kernel) {
     case GemmKernel::kNaive:
       detail::gemm_naive(alpha, opa, a, opb, b, beta, c);
-      break;
-    case GemmKernel::kBlocked:
-      detail::gemm_blocked(alpha, opa, a, opb, b, beta, c);
       break;
     case GemmKernel::kMicro:
     default:

@@ -1,102 +1,12 @@
 #include "la/gemm_policy.hpp"
 
-#include <atomic>
-#include <cstdlib>
-
-// Build-time default policy, plumbed through the CMake cache variable
-// CHASE_DEFAULT_GEMM_KERNEL (CMakePresets.json).
-#ifndef CHASE_GEMM_DEFAULT_KERNEL
-#define CHASE_GEMM_DEFAULT_KERNEL "micro"
-#endif
-
 namespace chase::la {
 
-namespace {
-
-constexpr int kNoOverride = -1;
-
-GemmKernel build_default_kernel() {
-  return parse_gemm_kernel(CHASE_GEMM_DEFAULT_KERNEL)
-      .value_or(GemmKernel::kMicro);
-}
-
-// Explicit override slot: kNoOverride until the CHASE_GEMM_KERNEL env var
-// (read once, at first use) or set_gemm_kernel() pins a kernel.
-std::atomic<int>& override_slot() {
-  static std::atomic<int> slot = [] {
-    int raw = kNoOverride;
-    if (const char* env = std::getenv("CHASE_GEMM_KERNEL")) {
-      if (auto parsed = parse_gemm_kernel(env)) raw = int(*parsed);
-    }
-    return std::atomic<int>(raw);
-  }();
-  return slot;
-}
-
-}  // namespace
-
-std::string_view gemm_kernel_name(GemmKernel k) {
-  switch (k) {
-    case GemmKernel::kNaive:
-      return "naive";
-    case GemmKernel::kBlocked:
-      return "blocked";
-    case GemmKernel::kMicro:
-    default:
-      return "micro";
-  }
-}
-
-std::string_view gemm_kernel_counter(GemmKernel k) {
-  switch (k) {
-    case GemmKernel::kNaive:
-      return "la.kernel.naive.calls";
-    case GemmKernel::kBlocked:
-      return "la.kernel.blocked.calls";
-    case GemmKernel::kMicro:
-    default:
-      return "la.kernel.micro.calls";
-  }
-}
-
-std::optional<GemmKernel> parse_gemm_kernel(std::string_view name) {
-  if (name == "naive") return GemmKernel::kNaive;
-  if (name == "blocked") return GemmKernel::kBlocked;
-  if (name == "micro") return GemmKernel::kMicro;
-  return std::nullopt;
-}
-
-GemmKernel gemm_kernel() {
-  const int raw = override_slot().load(std::memory_order_relaxed);
-  return raw == kNoOverride ? build_default_kernel() : GemmKernel(raw);
-}
-
-void set_gemm_kernel(GemmKernel k) {
-  override_slot().store(int(k), std::memory_order_relaxed);
-}
-
-bool gemm_kernel_overridden() {
-  return override_slot().load(std::memory_order_relaxed) != kNoOverride;
-}
-
-int raw_gemm_kernel_override() {
-  return override_slot().load(std::memory_order_relaxed);
-}
-
-void set_raw_gemm_kernel_override(int raw) {
-  override_slot().store(raw, std::memory_order_relaxed);
-}
-
 GemmKernel gemm_kernel_for(perf::ScalarTag tag, Index m, Index n, Index k) {
-  const int raw = override_slot().load(std::memory_order_relaxed);
-  if (raw != kNoOverride) return GemmKernel(raw);
-  if (const perf::TunedTables* t = perf::tuned_tables()) {
-    const perf::NClass cls =
-        perf::gemm_n_class(double(m), double(n), double(k));
-    const int tuned = t->gemm_kernel[int(tag)][int(cls)];
-    if (tuned >= 0) return GemmKernel(tuned);
-  }
-  return build_default_kernel();
+  const perf::TunedTables* t = perf::tuned_tables();
+  if (t == nullptr) return gemm_policy.resolve();
+  const perf::NClass cls = perf::gemm_n_class(double(m), double(n), double(k));
+  return gemm_policy.resolve(t->gemm_kernel[int(tag)][int(cls)]);
 }
 
 }  // namespace chase::la

@@ -1,51 +1,49 @@
-// Runtime policy for the dense matrix-multiply engine.
+// Runtime policy for the dense matrix-multiply engine (a common/policy.hpp
+// policy): the process picks one of two kernel implementations for every
+// gemm()/hemm() call,
 //
-// Mirrors the collective-engine policy (src/coll/engine.hpp): the process
-// picks one of three kernel implementations for every gemm()/hemm() call,
+//   CHASE_GEMM_KERNEL = naive | micro   (default: micro)
 //
-//   CHASE_GEMM_KERNEL = naive | blocked | micro   (default: the CMake cache
-//       variable CHASE_DEFAULT_GEMM_KERNEL baked into the build)
+//   naive — unblocked triple loop; the reference oracle every other kernel
+//           is validated against (tests/la) and the Gflop/s floor the bench
+//           trajectory measures speedups from.
+//   micro — five-loop BLIS-style engine: cache blocking with packed panels
+//           laid out as mr x kc / kc x nr micro-panels consumed by a
+//           register-tiled mr x nr micro-kernel (src/la/gemm_micro.hpp). It
+//           also engages the Hermitian-aware hemm() engine.
 //
-//   naive   — unblocked triple loop; the reference oracle every other kernel
-//             is validated against (tests/la) and the Gflop/s floor the bench
-//             trajectory measures speedups from.
-//   blocked — the seed path: L2 cache blocking with packed operand panels and
-//             a two-way-unrolled rank-1-update inner kernel.
-//   micro   — five-loop BLIS-style engine: the cache blocking of `blocked`,
-//             but the packed panels are laid out as mr x kc / kc x nr
-//             micro-panels consumed by a register-tiled mr x nr micro-kernel
-//             (src/la/gemm_micro.hpp). This is the only policy that engages
-//             the Hermitian-aware hemm() engine.
-//
-// Resolution order per call (the autotuner contract, DESIGN.md §15):
-//   1. explicit override — the CHASE_GEMM_KERNEL env var or a
-//      set_gemm_kernel()/ScopedGemmKernel guard pins one kernel process-wide;
-//   2. loaded machine profile — the per-(scalar type, shape class) winner
-//      from perf::tuned_tables() (installed by tune::install_profile);
-//   3. built-in default — the build-time CHASE_DEFAULT_GEMM_KERNEL.
-// A process with no override and no profile behaves exactly as before the
-// autotuner existed.
-//
-// The policy is process-global and cheap to read (one relaxed atomic load);
-// ScopedGemmKernel lets benches and tests flip it per section.
+// Per call: override > the per-(scalar type, shape class) winner of a loaded
+// machine profile > micro (DESIGN.md §15).
 #pragma once
 
 #include <optional>
 #include <string_view>
 
+#include "common/policy.hpp"
 #include "common/scalar.hpp"
 #include "la/matrix.hpp"
 #include "perf/tuned.hpp"
 
 namespace chase::la {
 
-enum class GemmKernel : int { kNaive = 0, kBlocked, kMicro };
+enum class GemmKernel : int { kNaive = 0, kMicro };
 
-std::string_view gemm_kernel_name(GemmKernel k);
-std::optional<GemmKernel> parse_gemm_kernel(std::string_view name);
+inline constinit policy::Policy<GemmKernel, 2> gemm_policy{
+    "CHASE_GEMM_KERNEL", {"naive", "micro"}, GemmKernel::kMicro};
+using ScopedGemmKernel = policy::Pin<gemm_policy>;
+
+inline std::string_view gemm_kernel_name(GemmKernel k) {
+  return gemm_policy.name(k);
+}
+inline std::optional<GemmKernel> parse_gemm_kernel(std::string_view name) {
+  return gemm_policy.parse(name);
+}
 
 /// Per-call Tracker counter name for a kernel ("la.kernel.<name>.calls").
-std::string_view gemm_kernel_counter(GemmKernel k);
+inline std::string_view gemm_kernel_counter(GemmKernel k) {
+  return k == GemmKernel::kNaive ? "la.kernel.naive.calls"
+                                 : "la.kernel.micro.calls";
+}
 
 /// perf::ScalarTag of a kernel instantiation (the tuned-table row key).
 template <typename T>
@@ -58,41 +56,10 @@ constexpr perf::ScalarTag scalar_tag() {
   }
 }
 
-/// Effective process-wide policy: the explicit override when one is set
-/// (env or set_gemm_kernel), else the build-time default. Shape-oblivious —
-/// the dispatchers use gemm_kernel_for().
-GemmKernel gemm_kernel();
+/// Shape-oblivious effective policy: the override, else the default.
+inline GemmKernel gemm_kernel() { return gemm_policy.resolve(); }
 
-/// Pin an explicit override (what the CHASE_GEMM_KERNEL env var does at
-/// first use). Overrides beat any loaded profile.
-void set_gemm_kernel(GemmKernel k);
-
-/// True when an explicit override (env or set_gemm_kernel) is pinned.
-bool gemm_kernel_overridden();
-
-/// Raw override slot for exact save/restore (-1 = no override). Scoped
-/// guards use these so that unwinding restores "no override" instead of
-/// freezing the default as an override.
-int raw_gemm_kernel_override();
-void set_raw_gemm_kernel_override(int raw);
-
-/// Shape-aware kernel choice for one m x n x k product of scalar class
-/// `tag`: override > profile table entry > built-in default.
+/// Kernel for one m x n x k product of scalar class `tag`.
 GemmKernel gemm_kernel_for(perf::ScalarTag tag, Index m, Index n, Index k);
-
-/// RAII policy override for benches and tests. Restores the previous raw
-/// override state (including "none") on exit.
-class ScopedGemmKernel {
- public:
-  explicit ScopedGemmKernel(GemmKernel k) : prev_(raw_gemm_kernel_override()) {
-    set_gemm_kernel(k);
-  }
-  ~ScopedGemmKernel() { set_raw_gemm_kernel_override(prev_); }
-  ScopedGemmKernel(const ScopedGemmKernel&) = delete;
-  ScopedGemmKernel& operator=(const ScopedGemmKernel&) = delete;
-
- private:
-  int prev_;
-};
 
 }  // namespace chase::la

@@ -21,8 +21,8 @@
 // rounding, not bitwise: the compiler may contract the complex
 // multiply-accumulates differently in the two inlined instantiations.)
 //
-// Under the `naive`/`blocked` policies hemm() simply forwards to gemm() so
-// those oracles stay byte-for-byte the seed behaviour.
+// Under the `naive` policy hemm() simply forwards to gemm() so the oracle
+// stays byte-for-byte the seed behaviour.
 #pragma once
 
 #include <algorithm>
@@ -192,10 +192,10 @@ void hemm(T alpha, ConstMatrixView<T> a, ConstMatrixView<T> b, T beta,
     detail::scale_tile(beta, n, c.cols(), c.data(), c.ld());
     return;
   }
-  if (gemm_kernel_for(scalar_tag<T>(), n, c.cols(), n) != GemmKernel::kMicro) {
-    // Non-micro effective policies read the full storage through the plain
-    // engine (shape-aware, so a tuned profile routes small products the same
-    // way an explicit override would).
+  if (gemm_kernel_for(scalar_tag<T>(), n, c.cols(), n) == GemmKernel::kNaive) {
+    // The naive policy reads the full storage through the plain engine
+    // (shape-aware, so a tuned profile routes small products the same way an
+    // explicit override would).
     gemm(alpha, Op::kNoTrans, a, Op::kNoTrans, b, beta, c);
     return;
   }

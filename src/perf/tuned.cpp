@@ -85,6 +85,18 @@ const char* msg_class_name(MsgClass c) {
   }
 }
 
+const char* coll_kind_name(CollKind k) {
+  switch (k) {
+    case CollKind::kAllReduce:
+      return "allreduce";
+    case CollKind::kBroadcast:
+      return "broadcast";
+    case CollKind::kAllGather:
+    default:
+      return "allgather";
+  }
+}
+
 MsgClass msg_class(std::size_t bytes) {
   if (bytes <= kMsgSmallMax) return MsgClass::kSmallMsg;
   if (bytes <= kMsgMediumMax) return MsgClass::kMediumMsg;

@@ -18,6 +18,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <string_view>
 
 #include "perf/tracker.hpp"
 
@@ -52,7 +53,18 @@ enum class MsgClass : int { kSmallMsg = 0, kMediumMsg, kLargeMsg, kCount_ };
 inline constexpr int kMsgClassCount = int(MsgClass::kCount_);
 
 const char* msg_class_name(MsgClass c);
+const char* coll_kind_name(CollKind k);
 MsgClass msg_class(std::size_t bytes);
+
+/// Index of the enumerator of E in [0, count) that `namer` names `name`, or
+/// -1 (unknown names leave a profile cell untuned instead of failing it).
+template <typename E>
+int parse_class(std::string_view name, const char* (*namer)(E), int count) {
+  for (int i = 0; i < count; ++i) {
+    if (name == namer(E(i))) return i;
+  }
+  return -1;
+}
 
 // --- the tables themselves ---
 

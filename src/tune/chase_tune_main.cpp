@@ -17,6 +17,7 @@
 #include <cstring>
 #include <string>
 
+#include "coll/engine.hpp"
 #include "common/env.hpp"
 #include "la/factor/policy.hpp"
 #include "la/gemm_policy.hpp"
@@ -47,15 +48,14 @@ void print_tables(const perf::TunedTables& t) {
                 perf::n_class_name(perf::NClass(c)),
                 la::factor_kernel_name(la::FactorKernel(k)).data());
   }
-  static const char* kKinds[] = {"allreduce", "broadcast", "allgather"};
-  static const char* kAlgos[] = {"naive", "ring", "tree", "hier", "auto"};
   for (int k = 0; k < perf::kCollKindCount; ++k) {
     for (int c = 0; c < perf::kMsgClassCount; ++c) {
       const int a = t.coll_algo[k][c];
       if (a < 0) continue;
-      std::printf("  coll   %-9s %-7s -> %s\n", kKinds[k],
+      std::printf("  coll   %-9s %-7s -> %s\n",
+                  perf::coll_kind_name(perf::CollKind(k)),
                   perf::msg_class_name(perf::MsgClass(c)),
-                  a <= 4 ? kAlgos[a] : "?");
+                  coll::algorithm_name(coll::Algorithm(a)).data());
     }
   }
   if (t.chunk_bytes > 0) {

@@ -18,37 +18,6 @@ namespace chase::tune {
 
 namespace {
 
-const char* coll_kind_name(perf::CollKind k) {
-  switch (k) {
-    case perf::CollKind::kAllReduce:
-      return "allreduce";
-    case perf::CollKind::kBroadcast:
-      return "broadcast";
-    case perf::CollKind::kAllGather:
-    default:
-      return "allgather";
-  }
-}
-
-// Name -> index parsers for the class enums. Unknown names return -1: the
-// entry is skipped, so profiles from builds with more classes still load.
-int parse_named(const std::string& name, const char* (*namer)(int),
-                int count) {
-  for (int i = 0; i < count; ++i) {
-    if (name == namer(i)) return i;
-  }
-  return -1;
-}
-
-const char* tag_namer(int i) {
-  return perf::scalar_tag_name(perf::ScalarTag(i));
-}
-const char* nclass_namer(int i) { return perf::n_class_name(perf::NClass(i)); }
-const char* msg_namer(int i) {
-  return perf::msg_class_name(perf::MsgClass(i));
-}
-const char* kind_namer(int i) { return coll_kind_name(perf::CollKind(i)); }
-
 void append_number(std::string& out, double v) {
   char buf[64];
   // %.17g round-trips doubles; trim to a plain integer form when exact.
@@ -127,9 +96,9 @@ std::string encode_profile(const MachineProfile& p) {
       out += first ? "\n" : ",\n";
       first = false;
       out += "      {\"type\": ";
-      out += json::quote(tag_namer(t));
+      out += json::quote(perf::scalar_tag_name(perf::ScalarTag(t)));
       out += ", \"nclass\": ";
-      out += json::quote(nclass_namer(c));
+      out += json::quote(perf::n_class_name(perf::NClass(c)));
       out += ", \"kernel\": ";
       out += json::quote(la::gemm_kernel_name(la::GemmKernel(k)));
       out += "}";
@@ -143,7 +112,7 @@ std::string encode_profile(const MachineProfile& p) {
     out += first ? "\n" : ",\n";
     first = false;
     out += "      {\"nclass\": ";
-    out += json::quote(nclass_namer(c));
+    out += json::quote(perf::n_class_name(perf::NClass(c)));
     out += ", \"kernel\": ";
     out += json::quote(la::factor_kernel_name(la::FactorKernel(k)));
     out += "}";
@@ -157,9 +126,9 @@ std::string encode_profile(const MachineProfile& p) {
       out += first ? "\n" : ",\n";
       first = false;
       out += "      {\"kind\": ";
-      out += json::quote(kind_namer(k));
+      out += json::quote(perf::coll_kind_name(perf::CollKind(k)));
       out += ", \"msgclass\": ";
-      out += json::quote(msg_namer(c));
+      out += json::quote(perf::msg_class_name(perf::MsgClass(c)));
       out += ", \"algo\": ";
       out += json::quote(coll::algorithm_name(coll::Algorithm(a)));
       out += "}";
@@ -226,10 +195,11 @@ std::optional<MachineProfile> decode_profile(std::string_view text,
     if (!g->is_array()) return fail("tables.gemm_kernel is not an array");
     for (const json::Value& e : *g->array) {
       if (!e.is_object()) return fail("malformed gemm_kernel entry");
-      const int t = parse_named(e.get_string("type").value_or(""), tag_namer,
-                                perf::kScalarTagCount);
-      const int c = parse_named(e.get_string("nclass").value_or(""),
-                                nclass_namer, perf::kNClassCount);
+      const int t = perf::parse_class(e.get_string("type").value_or(""),
+                                      perf::scalar_tag_name,
+                                      perf::kScalarTagCount);
+      const int c = perf::parse_class(e.get_string("nclass").value_or(""),
+                                      perf::n_class_name, perf::kNClassCount);
       const auto k = la::parse_gemm_kernel(e.get_string("kernel").value_or(""));
       if (t < 0 || c < 0 || !k) continue;  // unknown name: leave untuned
       p.tables.gemm_kernel[t][c] = int(*k);
@@ -239,8 +209,8 @@ std::optional<MachineProfile> decode_profile(std::string_view text,
     if (!f->is_array()) return fail("tables.factor_kernel is not an array");
     for (const json::Value& e : *f->array) {
       if (!e.is_object()) return fail("malformed factor_kernel entry");
-      const int c = parse_named(e.get_string("nclass").value_or(""),
-                                nclass_namer, perf::kNClassCount);
+      const int c = perf::parse_class(e.get_string("nclass").value_or(""),
+                                      perf::n_class_name, perf::kNClassCount);
       const auto k =
           la::parse_factor_kernel(e.get_string("kernel").value_or(""));
       if (c < 0 || !k) continue;
@@ -251,10 +221,12 @@ std::optional<MachineProfile> decode_profile(std::string_view text,
     if (!a->is_array()) return fail("tables.coll_algo is not an array");
     for (const json::Value& e : *a->array) {
       if (!e.is_object()) return fail("malformed coll_algo entry");
-      const int k = parse_named(e.get_string("kind").value_or(""), kind_namer,
-                                perf::kCollKindCount);
-      const int c = parse_named(e.get_string("msgclass").value_or(""),
-                                msg_namer, perf::kMsgClassCount);
+      const int k = perf::parse_class(e.get_string("kind").value_or(""),
+                                      perf::coll_kind_name,
+                                      perf::kCollKindCount);
+      const int c = perf::parse_class(e.get_string("msgclass").value_or(""),
+                                      perf::msg_class_name,
+                                      perf::kMsgClassCount);
       const auto algo =
           coll::parse_algorithm(e.get_string("algo").value_or(""));
       if (k < 0 || c < 0 || !algo) continue;

@@ -103,12 +103,13 @@ void ensure_profile_from_env() {
 void record_provenance() {
   if (perf::thread_tracker() == nullptr) return;
   const perf::TunedTables* t = perf::tuned_tables();
-  bump_domain(la::gemm_kernel_overridden(), t != nullptr && any_gemm_entry(*t));
-  bump_domain(la::factor_kernel_overridden(),
+  bump_domain(la::gemm_policy.overridden(),
+              t != nullptr && any_gemm_entry(*t));
+  bump_domain(la::factor_policy.overridden(),
               t != nullptr && any_factor_entry(*t));
-  bump_domain(coll::algorithm_overridden(),
+  bump_domain(coll::algorithm_policy.overridden(),
               t != nullptr && any_coll_entry(*t));
-  bump_domain(coll::raw_chunk_override() > 0,
+  bump_domain(coll::chunk_knob.overridden(),
               t != nullptr && t->chunk_bytes > 0);
 }
 

@@ -49,11 +49,10 @@ template <typename T>
 void probe_gemm(const TuneOptions& opts, const char* tag,
                 std::vector<RawMeasurement>& out) {
   constexpr la::GemmKernel kKernels[] = {la::GemmKernel::kNaive,
-                                         la::GemmKernel::kBlocked,
                                          la::GemmKernel::kMicro};
   const double z = kIsComplex<T> ? 8.0 : 2.0;
   double small_best = 0;
-  double small_rate[3] = {0, 0, 0};
+  double small_rate[2] = {0, 0};
   for (std::size_t si = 0; si < opts.gemm_sizes.size(); ++si) {
     const Index n = Index(opts.gemm_sizes[si]);
     auto a = random_mat<T>(n, n, 1);
@@ -126,18 +125,6 @@ void probe_factor(const TuneOptions& opts, std::vector<RawMeasurement>& out) {
 
 // --- collective probes: coll.<kind>.b<bytes>.p<ranks>.<algo> = seconds ---
 
-const char* kind_token(perf::CollKind k) {
-  switch (k) {
-    case perf::CollKind::kAllReduce:
-      return "allreduce";
-    case perf::CollKind::kBroadcast:
-      return "broadcast";
-    case perf::CollKind::kAllGather:
-    default:
-      return "allgather";
-  }
-}
-
 double time_collective(perf::CollKind kind, int p, std::size_t bytes,
                        const TuneOptions& opts) {
   const Index count = Index(std::max<std::size_t>(1, bytes / sizeof(double)));
@@ -192,7 +179,7 @@ void probe_collectives(const TuneOptions& opts,
         coll::ScopedAlgorithm scoped(algo);
         coll::ScopedChunkBytes chunk(std::size_t(64) << 10);
         const double sec = time_collective(kind, p, bytes, opts);
-        out.push_back({std::string("coll.") + kind_token(kind) + "." +
+        out.push_back({std::string("coll.") + perf::coll_kind_name(kind) + "." +
                            size_token("b", (long long)(bytes)) + "." +
                            size_token("p", p) + "." +
                            std::string(coll::algorithm_name(algo)),
@@ -243,20 +230,6 @@ long long numeric_token(const std::string& tok, char prefix) {
     v = v * 10 + (tok[i] - '0');
   }
   return v;
-}
-
-int tag_index(const std::string& name) {
-  for (int i = 0; i < perf::kScalarTagCount; ++i) {
-    if (name == perf::scalar_tag_name(perf::ScalarTag(i))) return i;
-  }
-  return -1;
-}
-
-int kind_index(const std::string& name) {
-  for (int i = 0; i < perf::kCollKindCount; ++i) {
-    if (name == kind_token(perf::CollKind(i))) return i;
-  }
-  return -1;
 }
 
 }  // namespace
@@ -355,7 +328,8 @@ perf::TunedTables derive_selections(
   for (const RawMeasurement& m : measurements) {
     const auto parts = split_dots(m.name);
     if (parts.size() == 4 && parts[0] == "gemm") {
-      const int tag = tag_index(parts[1]);
+      const int tag = perf::parse_class(parts[1], perf::scalar_tag_name,
+                                        perf::kScalarTagCount);
       const long long n = numeric_token(parts[2], 'n');
       const auto kern = la::parse_gemm_kernel(parts[3]);
       if (tag < 0 || n <= 0 || !kern) continue;
@@ -392,7 +366,8 @@ perf::TunedTables derive_selections(
       }
       if (n == factor_rate_size) factor_rate = std::max(factor_rate, m.value);
     } else if (parts.size() == 5 && parts[0] == "coll") {
-      const int kind = kind_index(parts[1]);
+      const int kind = perf::parse_class(parts[1], perf::coll_kind_name,
+                                         perf::kCollKindCount);
       const long long bytes = numeric_token(parts[2], 'b');
       const auto algo = coll::parse_algorithm(parts[4]);
       if (kind < 0 || bytes < 0 || !algo) continue;

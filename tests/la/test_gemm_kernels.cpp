@@ -30,8 +30,7 @@ using chase::testing::random_hermitian;
 using chase::testing::random_matrix;
 using chase::testing::tol;
 
-constexpr GemmKernel kPolicies[] = {GemmKernel::kNaive, GemmKernel::kBlocked,
-                                    GemmKernel::kMicro};
+constexpr GemmKernel kPolicies[] = {GemmKernel::kNaive, GemmKernel::kMicro};
 constexpr Op kOps[] = {Op::kNoTrans, Op::kTrans, Op::kConjTrans};
 
 template <typename T>
@@ -175,8 +174,8 @@ TYPED_TEST(GemmKernelsTyped, GramMatchesExplicitProductUnderAllPolicies) {
 
 TEST(GemmPolicy, ParseAndNames) {
   EXPECT_EQ(parse_gemm_kernel("naive"), GemmKernel::kNaive);
-  EXPECT_EQ(parse_gemm_kernel("blocked"), GemmKernel::kBlocked);
   EXPECT_EQ(parse_gemm_kernel("micro"), GemmKernel::kMicro);
+  EXPECT_FALSE(parse_gemm_kernel("blocked").has_value());  // retired
   EXPECT_FALSE(parse_gemm_kernel("turbo").has_value());
   EXPECT_FALSE(parse_gemm_kernel("").has_value());
   for (GemmKernel kern : kPolicies) {

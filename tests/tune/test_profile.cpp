@@ -162,6 +162,36 @@ TEST_F(ProfileTest, UnknownEnumNamesLeaveEntriesUntuned) {
   }
 }
 
+TEST_F(ProfileTest, RetiredBlockedGemmEntryLoadsUntuned) {
+  // Profiles tuned before the `blocked` GEMM kernel was retired still load;
+  // a cell that named it falls back to the default, its neighbours keep
+  // their winners.
+  const auto p = decode_profile(
+      R"({"schema": "chase.machine_profile", "version": 1,
+          "fingerprint": {"host": "h", "cpu": "c", "threads": 4},
+          "measurements": [{"name": "gemm.d.n96.blocked", "value": 3e9}],
+          "tables": {"gemm_kernel": [
+                       {"type": "d", "nclass": "small", "kernel": "blocked"},
+                       {"type": "d", "nclass": "large", "kernel": "micro"}],
+                     "factor_kernel": [
+                       {"nclass": "small", "kernel": "blocked"}],
+                     "chunk_bytes": 0,
+                     "rates": {}}})");
+  ASSERT_TRUE(p.has_value());
+  EXPECT_EQ(p->tables.gemm_kernel[int(perf::ScalarTag::kF64)]
+                                 [int(perf::NClass::kSmall)],
+            -1);
+  EXPECT_EQ(p->tables.gemm_kernel[int(perf::ScalarTag::kF64)]
+                                 [int(perf::NClass::kLarge)],
+            int(la::GemmKernel::kMicro));
+  EXPECT_EQ(p->tables.factor_kernel[int(perf::NClass::kSmall)],
+            int(la::FactorKernel::kBlocked));
+  EXPECT_EQ(derive_selections(p->measurements)
+                .gemm_kernel[int(perf::ScalarTag::kF64)]
+                            [int(perf::NClass::kSmall)],
+            -1);
+}
+
 TEST_F(ProfileTest, InstallRejectsForeignFingerprintAndCounts) {
   MachineProfile p = sample_profile();
   p.fingerprint.host = "somewhere-else";

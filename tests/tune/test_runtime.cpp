@@ -44,7 +44,7 @@ MachineProfile contrarian_profile() {
   p.fingerprint = local_fingerprint();
   for (int t = 0; t < perf::kScalarTagCount; ++t) {
     for (int c = 0; c < perf::kNClassCount; ++c) {
-      p.tables.gemm_kernel[t][c] = int(la::GemmKernel::kBlocked);
+      p.tables.gemm_kernel[t][c] = int(la::GemmKernel::kNaive);
     }
   }
   for (int c = 0; c < perf::kNClassCount; ++c) {
@@ -67,12 +67,12 @@ TEST_F(RuntimeTest, GemmPrecedenceOverrideProfileDefault) {
   EXPECT_EQ(probe(), fallback);
 
   ASSERT_TRUE(install_profile(contrarian_profile()));
-  EXPECT_EQ(probe(), la::GemmKernel::kBlocked);
+  EXPECT_EQ(probe(), la::GemmKernel::kNaive);
   {
     la::ScopedGemmKernel pin(la::GemmKernel::kMicro);
     EXPECT_EQ(probe(), la::GemmKernel::kMicro);  // override beats profile
   }
-  EXPECT_EQ(probe(), la::GemmKernel::kBlocked);  // guard restored "none"
+  EXPECT_EQ(probe(), la::GemmKernel::kNaive);  // guard restored "none"
 
   uninstall_profile();
   EXPECT_EQ(probe(), fallback);
@@ -181,7 +181,7 @@ TEST_F(RuntimeTest, RejectedProfileFallsBackToDefaultsAndCounts) {
 }
 
 TEST_F(RuntimeTest, ReplayDerivesTablesFromMeasurementLog) {
-  // Stored tables say blocked everywhere; the measurement log says micro
+  // Stored tables say naive everywhere; the measurement log says micro
   // wins small-double GEMM. Replay must trust the log, not the tables.
   MachineProfile p = contrarian_profile();
   p.measurements.push_back({"gemm.d.n96.naive", 1e9, "flop/s"});
