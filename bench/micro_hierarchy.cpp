@@ -1,4 +1,4 @@
-// Hierarchical-collective and persistent-plan acceptance bench.
+// Hierarchical-collective acceptance bench.
 //
 // Runs on the emulated 2-node x 4-rank topology (CHASE_TOPO-style override):
 // the slow inter-node link is a calibrated delay charged per cross-node
@@ -8,9 +8,6 @@
 //
 //   hierarchy_speedup     — flat ring vs hierarchical allreduce wall time on
 //                           the slow-inter topology (gate: >= 1.3x)
-//   plan_replay_speedup   — per-call dispatch (selection + algorithm
-//                           construction every iteration) vs CollPlan replay
-//                           of the identical collective (gate: >= 1.1x)
 //   bitwise_identical     — hierarchical allreduce/broadcast/allgather
 //                           against the naive reference, byte for byte
 //   auto_matches_model    — CHASE_COLL_ALGO=auto picks a hierarchical
@@ -26,7 +23,6 @@
 
 #include "coll/engine.hpp"
 #include "comm/communicator.hpp"
-#include "coll/plan.hpp"
 #include "comm/topology.hpp"
 #include "perf/cost_model.hpp"
 #include "perf/machine.hpp"
@@ -77,60 +73,6 @@ double time_allreduce(std::size_t bytes, int iters) {
   return per_op / iters;
 }
 
-/// Per-call dispatch vs plan replay of one filter-iteration's collective
-/// pair (allreduce of the residual block + broadcast of the ritz block);
-/// returns {percall_seconds, replay_seconds} per iteration. The two loops
-/// alternate over several passes and each approach keeps its fastest pass —
-/// scheduler noise on an oversubscribed host otherwise swamps the planning
-/// cost being measured.
-std::pair<double, double> time_plan_replay(std::size_t bytes, int iters) {
-  constexpr int kPasses = 9;
-  const Index count = Index(bytes / sizeof(double));
-  double percall = std::numeric_limits<double>::infinity();
-  double replay = std::numeric_limits<double>::infinity();
-  Team team(kRanks);
-  team.run([&](Communicator& comm) {
-    std::vector<double> x(static_cast<std::size_t>(count));
-    std::vector<double> b(static_cast<std::size_t>(count));
-    for (Index i = 0; i < count; ++i) {
-      x[std::size_t(i)] = seeded(comm.rank(), i);
-      b[std::size_t(i)] = seeded(comm.rank(), i + 1);
-    }
-
-    chase::coll::CollPlan plan;
-    plan.add_all_reduce(comm, x.data(), count, Reduction::kMin);
-    plan.add_broadcast(comm, b.data(), count, /*root=*/0);
-
-    comm.all_reduce(x.data(), count, Reduction::kMin);  // warmup
-    comm.broadcast(b.data(), count, /*root=*/0);        // warmup
-    plan.execute();                                     // warmup
-    // The two approaches alternate pass by pass (scheduler noise hits both
-    // sides equally); each keeps its fastest barrier-bracketed pass via the
-    // shared tune::measure harness.
-    for (int pass = 0; pass < kPasses; ++pass) {
-      const chase::tune::Measurement mp =
-          chase::tune::measure(/*warmup=*/0, 1, [&] {
-            comm.barrier();
-            for (int it = 0; it < iters; ++it) {
-              comm.all_reduce(x.data(), count, Reduction::kMin);
-              comm.broadcast(b.data(), count, /*root=*/0);
-            }
-            comm.barrier();
-          });
-      if (comm.rank() == 0) percall = std::min(percall, mp.best);
-
-      const chase::tune::Measurement mr =
-          chase::tune::measure(/*warmup=*/0, 1, [&] {
-            comm.barrier();
-            for (int it = 0; it < iters; ++it) plan.execute();
-            comm.barrier();
-          });
-      if (comm.rank() == 0) replay = std::min(replay, mr.best);
-    }
-  });
-  return {percall / iters, replay / iters};
-}
-
 /// Bitwise comparison of every hierarchical routine against the naive
 /// reference on the grouped topology, for T in {double, complex<double>}.
 template <typename T>
@@ -177,7 +119,6 @@ bool bitwise_vs_naive(Index count) {
 
 /// auto's pick agrees with the per-link cost model across payload decades.
 bool auto_matches_model(const chase::perf::TopoInfo& topo) {
-  using chase::coll::Routine;
   using chase::perf::CollAlgo;
   chase::coll::ScopedAlgorithm policy(chase::coll::Algorithm::kAuto);
   const chase::perf::MachineModel m;
@@ -196,15 +137,15 @@ bool auto_matches_model(const chase::perf::TopoInfo& topo) {
                                 m, backend, chase::perf::CollKind::kAllReduce,
                                 a, bytes, kRanks, chunk, topo));
     }
-    const Routine chosen =
+    const bool auto_says_hier =
         chase::coll::select(chase::perf::CollKind::kAllReduce, bytes, kRanks,
-                            backend, topo);
+                            backend, topo) == CollAlgo::kHierAlgo;
     const bool model_says_hier = hier < flat;
-    if (chase::coll::is_hierarchical(chosen) != model_says_hier) {
+    if (auto_says_hier != model_says_hier) {
       std::printf("  auto mismatch at %zu bytes: model says %s, auto picked "
                   "%s\n",
                   bytes, model_says_hier ? "hier" : "flat",
-                  std::string(chase::coll::routine_name(chosen)).c_str());
+                  auto_says_hier ? "hier" : "flat");
       ok = false;
     }
   }
@@ -255,24 +196,6 @@ int main() {
               hier_bytes >> 10, kRanks, ring_sec * 1e3, hier_sec * 1e3,
               hierarchy_speedup);
 
-  // ---- plan replay vs per-call dispatch (grouping, no delay emulation,
-  // so the saved planning work is what's measured). Pinned to the
-  // hierarchical routine: that is the planned path in the filter loop, and
-  // its per-call cost (group lookup, phase table, scratch allocation) is
-  // exactly what a plan amortises. Auto would pick naive at this payload and
-  // the comparison would measure nothing.
-  double percall_sec, replay_sec;
-  {
-    ScopedTopology topo(grouped);
-    chase::coll::ScopedAlgorithm policy(chase::coll::Algorithm::kHier);
-    std::tie(percall_sec, replay_sec) =
-        time_plan_replay(std::size_t(2) << 10, 400);
-  }
-  const double plan_replay_speedup = percall_sec / replay_sec;
-  std::printf("plan replay, 2 KiB allreduce+broadcast: per-call %.1f us, "
-              "replay %.1f us -> %.2fx\n",
-              percall_sec * 1e6, replay_sec * 1e6, plan_replay_speedup);
-
   // ---- auto vs the per-link cost model ----
   const auto topo_info = chase::comm::topo_info_of(
       chase::comm::node_assignment(emulated, kRanks), emulated.inter_bw,
@@ -296,14 +219,11 @@ int main() {
       "  \"ring_seconds_per_op\": %.9f,\n"
       "  \"hier_seconds_per_op\": %.9f,\n"
       "  \"hierarchy_speedup\": %.3f,\n"
-      "  \"percall_seconds_per_op\": %.9f,\n"
-      "  \"replay_seconds_per_op\": %.9f,\n"
-      "  \"plan_replay_speedup\": %.3f,\n"
       "  \"bitwise_identical\": %s,\n"
       "  \"auto_matches_model\": %s\n"
       "}\n",
       emulated_spec, kRanks, hier_bytes, ring_sec, hier_sec,
-      hierarchy_speedup, percall_sec, replay_sec, plan_replay_speedup,
+      hierarchy_speedup,
       bitwise ? "true" : "false", auto_ok ? "true" : "false");
   std::fclose(f);
   std::printf("\nwrote results/bench_hierarchy.json\n");

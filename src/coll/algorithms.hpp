@@ -102,14 +102,6 @@ class ChannelOp : public CollOp {
     perf::bump_counter(p + ".bytes", double(bytes_));
   }
 
-  /// Plan replay: start a fresh counting epoch so every replay flushes its
-  /// own .calls/.steps/.bytes bump.
-  void reset_counters() {
-    finished_ = false;
-    steps_ = 0;
-    bytes_ = 0;
-  }
-
   const Comm& comm_;
 
  private:
@@ -192,12 +184,6 @@ class OrderedRingAllReduce final : public ChannelOp<Comm> {
     return true;
   }
 
-  void reset(std::uint64_t seq) override {
-    seq_ = seq;
-    red_done_ = 0;
-    dist_done_ = rank_ == size_ - 1 ? nc_ : 0;
-    this->reset_counters();
-  }
 
  private:
   bool complete() const { return red_done_ == nc_ && dist_done_ == nc_; }
@@ -325,15 +311,6 @@ class RabenseifnerAllReduce final : public ChannelOp<Comm> {
     return true;
   }
 
-  void reset(std::uint64_t seq) override {
-    seq_ = seq;
-    sub_ = 0;
-    src_ = 0;
-    sent_rs_ = false;
-    sent_ag_ = false;
-    ag_done_.assign(std::size_t(size_), 0);
-    this->reset_counters();
-  }
 
  private:
   Index own_off() const { return off_[std::size_t(rank_)]; }
@@ -416,7 +393,6 @@ class RingAllGather final : public ChannelOp<Comm> {
                 std::vector<Index> counts, std::vector<Index> displs,
                 Index chunk_elems, std::uint64_t seq)
       : ChannelOp<Comm>(comm, "coll.ring_allgather"),
-        send_(send),
         recv_(recv),
         counts_(std::move(counts)),
         displs_(std::move(displs)),
@@ -479,17 +455,6 @@ class RingAllGather final : public ChannelOp<Comm> {
     return true;
   }
 
-  void reset(std::uint64_t seq) override {
-    seq_ = seq;
-    sent_.assign(std::size_t(size_), 0);
-    recvd_.assign(std::size_t(size_), 0);
-    // The caller refilled the registered send buffer; re-seed my own block.
-    if (counts_[std::size_t(rank_)] > 0) {
-      std::copy_n(send_, counts_[std::size_t(rank_)],
-                  recv_ + displs_[std::size_t(rank_)]);
-    }
-    this->reset_counters();
-  }
 
  private:
   bool complete() const {
@@ -510,7 +475,6 @@ class RingAllGather final : public ChannelOp<Comm> {
     return detail::make_tag(seq_, 0, unsigned(step), unsigned(chunk));
   }
 
-  const T* send_;
   T* recv_;
   std::vector<Index> counts_;
   std::vector<Index> displs_;
@@ -530,7 +494,6 @@ class BruckAllGather final : public ChannelOp<Comm> {
   BruckAllGather(const Comm& comm, const T* send, T* recv, Index count,
                  Index chunk_elems, std::uint64_t seq)
       : ChannelOp<Comm>(comm, "coll.bruck_allgather"),
-        send_(send),
         recv_(recv),
         count_(count),
         chunk_(std::max<Index>(1, chunk_elems)),
@@ -595,16 +558,6 @@ class BruckAllGather final : public ChannelOp<Comm> {
     return true;
   }
 
-  void reset(std::uint64_t seq) override {
-    seq_ = seq;
-    dist_ = 1;
-    round_ = 0;
-    rc_ = 0;
-    sent_round_ = false;
-    done_ = false;
-    if (count_ > 0) std::copy_n(send_, count_, work_.data());
-    this->reset_counters();
-  }
 
  private:
   bool complete() const { return done_; }
@@ -613,7 +566,6 @@ class BruckAllGather final : public ChannelOp<Comm> {
     return detail::make_tag(seq_, 0, unsigned(round), unsigned(chunk));
   }
 
-  const T* send_;
   T* recv_;
   Index count_;
   Index chunk_;
@@ -683,12 +635,6 @@ class BinomialBroadcast final : public ChannelOp<Comm> {
     return true;
   }
 
-  void reset(std::uint64_t seq) override {
-    seq_ = seq;
-    recvd_ = parent_ < 0 ? nc_ : 0;
-    sent_.assign(children_.size(), 0);
-    this->reset_counters();
-  }
 
  private:
   bool complete() const {

@@ -3,14 +3,15 @@
 // (which owns the class definition and the naive publish-and-sync bodies);
 // everything here routes one call to either the naive reference or a chunk
 // channel algorithm, wrapped in the same perf accounting and fault-injection
-// hooks either way.
+// hooks either way. This is the only path a collective takes: the blocking
+// entry points run the channel op to completion inside a perf bracket, the
+// nonblocking i_* ones hand it to a CollRequest (the v1.4 overlap), and both
+// build it through the per-kind factories below.
 #pragma once
 
 #ifndef CHASE_COMM_COMMUNICATOR_INCLUDED
 #error "coll/dispatch.hpp is glue for comm/communicator.hpp; include that"
 #endif
-
-#include <sstream>
 
 #include "coll/algorithms.hpp"
 #include "coll/engine.hpp"
@@ -24,6 +25,89 @@ inline Index coll_chunk_elems(std::size_t elem_size) {
   return std::max<Index>(1, Index(coll::chunk_bytes() / elem_size));
 }
 
+/// Receive offsets of `nranks` equal `count`-element blocks, back to back.
+inline std::vector<Index> packed_displs(int nranks, Index count) {
+  std::vector<Index> displs(static_cast<std::size_t>(nranks));
+  for (int i = 0; i < nranks; ++i) displs[std::size_t(i)] = Index(i) * count;
+  return displs;
+}
+
+/// The Tracker events of routine `algo`: one per level for the two-level
+/// routines, else one event of which this rank contributed `local` bytes.
+inline std::vector<coll::CollPhase> phases_of(const Communicator& c,
+                                              perf::CollKind kind,
+                                              perf::CollAlgo algo,
+                                              std::size_t bytes,
+                                              std::size_t local) {
+  if (algo == perf::CollAlgo::kHierAlgo) {
+    return coll::hier_phases(kind, bytes, c.size(), c.topo_info());
+  }
+  return {{kind, bytes, c.size(), local}};
+}
+
+// Per-kind channel-op factories: the one place a (kind, routine) pair turns
+// into a state machine. `algo` is never kNaiveAlgo here.
+
+template <typename T>
+std::unique_ptr<coll::CollOp> all_reduce_op(const Communicator& c,
+                                            perf::CollAlgo algo, T* data,
+                                            Index count, Reduction op,
+                                            std::uint64_t seq) {
+  const Index ce = coll_chunk_elems(sizeof(T));
+  switch (algo) {
+    case perf::CollAlgo::kHierAlgo:
+      return std::make_unique<coll::HierAllReduce<Communicator, T>>(
+          c, data, count, op, ce, seq);
+    case perf::CollAlgo::kRingAlgo:
+      return std::make_unique<coll::OrderedRingAllReduce<Communicator, T>>(
+          c, data, count, op, ce, seq);
+    default:
+      return std::make_unique<coll::RabenseifnerAllReduce<Communicator, T>>(
+          c, data, count, op, ce, seq);
+  }
+}
+
+template <typename T>
+std::unique_ptr<coll::CollOp> broadcast_op(const Communicator& c,
+                                           perf::CollAlgo algo, T* data,
+                                           Index count, int root,
+                                           std::uint64_t seq) {
+  const Index ce = coll_chunk_elems(sizeof(T));
+  if (algo == perf::CollAlgo::kHierAlgo) {
+    return std::make_unique<coll::HierBroadcast<Communicator, T>>(
+        c, data, count, root, ce, seq);
+  }
+  return std::make_unique<coll::BinomialBroadcast<Communicator, T>>(
+      c, data, count, root, ce, seq);
+}
+
+/// Flat allgather: bruck for the equal-count case it was chosen for, else
+/// the ring over (counts, displs). The hierarchical allgather is a blocking
+/// composite (coll::hier_all_gather_v), not a channel op.
+template <typename T>
+std::unique_ptr<coll::CollOp> all_gather_op(const Communicator& c,
+                                            perf::CollAlgo algo, const T* send,
+                                            Index count, T* recv,
+                                            std::vector<Index> counts,
+                                            std::vector<Index> displs,
+                                            std::uint64_t seq) {
+  const Index ce = coll_chunk_elems(sizeof(T));
+  if (algo == perf::CollAlgo::kBruck) {
+    return std::make_unique<coll::BruckAllGather<Communicator, T>>(
+        c, send, recv, count, ce, seq);
+  }
+  return std::make_unique<coll::RingAllGather<Communicator, T>>(
+      c, send, recv, std::move(counts), std::move(displs), ce, seq);
+}
+
+/// Hand a started channel op to the caller; `on_done` applies the
+/// completion-time effects once, however the request is finished.
+template <typename Fn>
+coll::CollRequest request_of(std::unique_ptr<coll::CollOp> op, Fn on_done) {
+  return coll::CollRequest(std::make_unique<coll::WithCompletion<Fn>>(
+      std::move(op), std::move(on_done)));
+}
+
 }  // namespace detail
 
 template <typename T>
@@ -33,9 +117,9 @@ void Communicator::all_reduce(T* data, Index count, Reduction op) const {
     return;
   }
   const std::size_t bytes = std::size_t(std::max<Index>(count, 0)) * sizeof(T);
-  const coll::Routine r = coll::select(perf::CollKind::kAllReduce, bytes,
-                                       size(), backend_, topo_info());
-  if (r == coll::Routine::kNaive) {
+  const perf::CollAlgo algo = coll::select(perf::CollKind::kAllReduce, bytes,
+                                           size(), backend_, topo_info());
+  if (algo == perf::CollAlgo::kNaiveAlgo) {
     naive_all_reduce(data, count, op);
     return;
   }
@@ -43,33 +127,13 @@ void Communicator::all_reduce(T* data, Index count, Reduction op) const {
   account_begin();
   const std::uint64_t seq = next_collective_seq();
   if (count > 0) {
-    const Index ce = detail::coll_chunk_elems(sizeof(T));
-    if (r == coll::Routine::kHierAllReduce) {
-      coll::HierAllReduce<Communicator, T> alg(*this, data, count, op, ce,
-                                               seq);
-      alg.wait();
-    } else if (r == coll::Routine::kRingAllReduce) {
-      coll::OrderedRingAllReduce<Communicator, T> alg(*this, data, count, op,
-                                                      ce, seq);
-      alg.wait();
-    } else {
-      coll::RabenseifnerAllReduce<Communicator, T> alg(*this, data, count, op,
-                                                       ce, seq);
-      alg.wait();
-    }
+    detail::all_reduce_op(*this, algo, data, count, op, seq)->wait();
   }
   detail::corrupt_reduced(data, count);
-  if (r == coll::Routine::kHierAllReduce) {
-    // Multi-phase routine: one Tracker event per phase, attributed to the
-    // communicator each phase actually ran over.
-    coll::account_phases(
-        perf::thread_tracker(), backend_,
-        coll::hier_phases(perf::CollKind::kAllReduce, bytes, size(),
-                          topo_info()),
-        /*bracketed=*/true);
-  } else {
-    account_end(perf::CollKind::kAllReduce, bytes, bytes);
-  }
+  coll::account_phases(
+      perf::thread_tracker(), backend_,
+      detail::phases_of(*this, perf::CollKind::kAllReduce, algo, bytes, bytes),
+      /*bracketed=*/true);
 }
 
 template <typename T>
@@ -77,9 +141,9 @@ void Communicator::broadcast(T* data, Index count, int root) const {
   if (size() == 1) return;
   CHASE_CHECK_MSG(root >= 0 && root < size(), "broadcast root out of range");
   const std::size_t bytes = std::size_t(std::max<Index>(count, 0)) * sizeof(T);
-  const coll::Routine r = coll::select(perf::CollKind::kBroadcast, bytes,
-                                       size(), backend_, topo_info());
-  if (r == coll::Routine::kNaive) {
+  const perf::CollAlgo algo = coll::select(perf::CollKind::kBroadcast, bytes,
+                                           size(), backend_, topo_info());
+  if (algo == perf::CollAlgo::kNaiveAlgo) {
     naive_broadcast(data, count, root);
     return;
   }
@@ -87,80 +151,23 @@ void Communicator::broadcast(T* data, Index count, int root) const {
   account_begin();
   const std::uint64_t seq = next_collective_seq();
   if (count > 0) {
-    const Index ce = detail::coll_chunk_elems(sizeof(T));
-    if (r == coll::Routine::kHierBroadcast) {
-      coll::HierBroadcast<Communicator, T> alg(*this, data, count, root, ce,
-                                               seq);
-      alg.wait();
-    } else {
-      coll::BinomialBroadcast<Communicator, T> alg(*this, data, count, root,
-                                                   ce, seq);
-      alg.wait();
-    }
+    detail::broadcast_op(*this, algo, data, count, root, seq)->wait();
   }
-  if (r == coll::Routine::kHierBroadcast) {
-    coll::account_phases(
-        perf::thread_tracker(), backend_,
-        coll::hier_phases(perf::CollKind::kBroadcast, bytes, size(),
-                          topo_info()),
-        /*bracketed=*/true);
-  } else {
-    account_end(perf::CollKind::kBroadcast, bytes, bytes);
-  }
+  coll::account_phases(
+      perf::thread_tracker(), backend_,
+      detail::phases_of(*this, perf::CollKind::kBroadcast, algo, bytes, bytes),
+      /*bracketed=*/true);
 }
 
 template <typename T>
 void Communicator::all_gather(const T* send, Index count, T* recv) const {
-  const std::size_t local_bytes = std::size_t(std::max<Index>(count, 0)) *
-                                  sizeof(T);
-  const std::size_t total_bytes = std::size_t(size()) * local_bytes;
-  const coll::Routine r = coll::select(perf::CollKind::kAllGather, total_bytes,
-                                       size(), backend_, topo_info());
-  if (size() == 1 || r == coll::Routine::kNaive) {
+  if (size() == 1) {
     naive_all_gather(send, count, recv);
     return;
   }
-  fault::check("rank.die");
-  if (r == coll::Routine::kHierAllGather) {
-    // Collective group construction (two split() calls) stays outside the
-    // perf bracket; it happens once per communicator.
-    const auto& group = hier_group();
-    account_begin();
-    if (count > 0) {
-      std::vector<Index> counts(std::size_t(size()), count);
-      std::vector<Index> displs(counts.size());
-      for (int i = 0; i < size(); ++i) {
-        displs[std::size_t(i)] = Index(i) * count;
-      }
-      coll::hier_all_gather_v(*this, group, send, recv, counts, displs,
-                              detail::coll_chunk_elems(sizeof(T)));
-    }
-    coll::account_phases(
-        perf::thread_tracker(), backend_,
-        coll::hier_phases(perf::CollKind::kAllGather, total_bytes, size(),
-                          topo_info()),
-        /*bracketed=*/true);
-    return;
-  }
-  account_begin();
-  const std::uint64_t seq = next_collective_seq();
-  if (count > 0) {
-    const Index ce = detail::coll_chunk_elems(sizeof(T));
-    if (r == coll::Routine::kBruckAllGather) {
-      coll::BruckAllGather<Communicator, T> alg(*this, send, recv, count, ce,
-                                                seq);
-      alg.wait();
-    } else {
-      std::vector<Index> counts(std::size_t(size()), count);
-      std::vector<Index> displs(counts.size());
-      for (int i = 0; i < size(); ++i) displs[std::size_t(i)] = Index(i) * count;
-      coll::RingAllGather<Communicator, T> alg(*this, send, recv,
-                                               std::move(counts),
-                                               std::move(displs), ce, seq);
-      alg.wait();
-    }
-  }
-  account_end(perf::CollKind::kAllGather, total_bytes, local_bytes);
+  std::vector<Index> counts(std::size_t(size()), std::max<Index>(count, 0));
+  all_gather_dispatch(send, count, recv, counts,
+                      detail::packed_displs(size(), count), /*uniform=*/true);
 }
 
 template <typename T>
@@ -172,88 +179,94 @@ void Communicator::all_gather_v(const T* send, Index count, T* recv,
   CHASE_CHECK_MSG(counts[std::size_t(rank_)] == count,
                   "all_gather_v: local count disagrees with counts[rank]");
   validate_gather_layout(counts, displs);
+  if (size() == 1) {
+    naive_all_gather_v(send, count, recv, counts, displs);
+    return;
+  }
+  all_gather_dispatch(send, count, recv, counts, displs, /*uniform=*/false);
+}
+
+template <typename T>
+void Communicator::all_gather_dispatch(const T* send, Index count, T* recv,
+                                       const std::vector<Index>& counts,
+                                       const std::vector<Index>& displs,
+                                       bool uniform) const {
   const std::size_t local_bytes = std::size_t(std::max<Index>(count, 0)) *
                                   sizeof(T);
   std::size_t total_bytes = 0;
   for (const Index c : counts) total_bytes += std::size_t(c) * sizeof(T);
-  const coll::Routine r = coll::select(perf::CollKind::kAllGather, total_bytes,
-                                       size(), backend_, topo_info());
-  if (size() == 1 || r == coll::Routine::kNaive) {
-    naive_all_gather_v(send, count, recv, counts, displs);
+  perf::CollAlgo algo = coll::select(perf::CollKind::kAllGather, total_bytes,
+                                     size(), backend_, topo_info());
+  if (algo == perf::CollAlgo::kNaiveAlgo) {
+    if (uniform) {
+      naive_all_gather(send, count, recv);
+    } else {
+      naive_all_gather_v(send, count, recv, counts, displs);
+    }
     return;
   }
   fault::check("rank.die");
   // The composite hierarchical allgather requires the canonical contiguous
   // layout; scattered receive ranges ride the flat ring instead. The layout
   // is rank-identical, so every rank takes the same branch.
-  if (r == coll::Routine::kHierAllGather &&
+  if (algo == perf::CollAlgo::kHierAlgo &&
       coll::canonical_gather_layout(counts, displs)) {
+    // Collective group construction (two split() calls) stays outside the
+    // perf bracket; it happens once per communicator.
     const auto& group = hier_group();
     account_begin();
-    coll::hier_all_gather_v(*this, group, send, recv, counts, displs,
-                            detail::coll_chunk_elems(sizeof(T)));
-    coll::account_phases(
-        perf::thread_tracker(), backend_,
-        coll::hier_phases(perf::CollKind::kAllGather, total_bytes, size(),
-                          topo_info()),
-        /*bracketed=*/true);
+    if (total_bytes > 0) {
+      coll::hier_all_gather_v(*this, group, send, recv, counts, displs,
+                              detail::coll_chunk_elems(sizeof(T)));
+    }
+    coll::account_phases(perf::thread_tracker(), backend_,
+                         detail::phases_of(*this, perf::CollKind::kAllGather,
+                                           algo, total_bytes, local_bytes),
+                         /*bracketed=*/true);
     return;
+  }
+  // Bruck needs uniform blocks; the variable-count case rides the ring.
+  if (algo != perf::CollAlgo::kBruck || !uniform) {
+    algo = perf::CollAlgo::kRingAlgo;
   }
   account_begin();
   const std::uint64_t seq = next_collective_seq();
-  // Bruck needs uniform blocks; the variable-count case rides the ring.
-  coll::RingAllGather<Communicator, T> alg(*this, send, recv, counts, displs,
-                                           detail::coll_chunk_elems(sizeof(T)),
-                                           seq);
-  alg.wait();
-  account_end(perf::CollKind::kAllGather, total_bytes, local_bytes);
+  if (total_bytes > 0) {
+    detail::all_gather_op(*this, algo, send, count, recv, counts, displs, seq)
+        ->wait();
+  }
+  coll::account_phases(perf::thread_tracker(), backend_,
+                       detail::phases_of(*this, perf::CollKind::kAllGather,
+                                         algo, total_bytes, local_bytes),
+                       /*bracketed=*/true);
 }
 
 template <typename T>
 coll::CollRequest Communicator::i_all_reduce(T* data, Index count,
                                              Reduction op) const {
   const std::size_t bytes = std::size_t(std::max<Index>(count, 0)) * sizeof(T);
-  const coll::Routine r =
+  const perf::CollAlgo algo =
       size() == 1 || count <= 0
-          ? coll::Routine::kNaive
+          ? perf::CollAlgo::kNaiveAlgo
           : coll::select(perf::CollKind::kAllReduce, bytes, size(), backend_,
                          topo_info());
-  if (r == coll::Routine::kNaive) {
+  if (algo == perf::CollAlgo::kNaiveAlgo) {
     // No channel algorithm to run asynchronously — complete eagerly (the
     // naive path is one blocking publish-and-sync anyway).
     all_reduce(data, count, op);
     return {};
   }
   fault::check("rank.die");
-  const std::uint64_t seq = next_collective_seq();
-  const Index ce = detail::coll_chunk_elems(sizeof(T));
-  std::unique_ptr<coll::CollOp> alg;
-  if (r == coll::Routine::kHierAllReduce) {
-    alg = std::make_unique<coll::HierAllReduce<Communicator, T>>(
-        *this, data, count, op, ce, seq);
-  } else if (r == coll::Routine::kRingAllReduce) {
-    alg = std::make_unique<coll::OrderedRingAllReduce<Communicator, T>>(
-        *this, data, count, op, ce, seq);
-  } else {
-    alg = std::make_unique<coll::RabenseifnerAllReduce<Communicator, T>>(
-        *this, data, count, op, ce, seq);
-  }
-  const bool hier = r == coll::Routine::kHierAllReduce;
-  auto on_done = [this, data, count, bytes, hier] {
-    detail::corrupt_reduced(data, count);
-    if (hier) {
-      coll::account_phases(
-          perf::thread_tracker(), backend_,
-          coll::hier_phases(perf::CollKind::kAllReduce, bytes, size(),
-                            topo_info()),
-          /*bracketed=*/false);
-    } else {
-      account_async(perf::CollKind::kAllReduce, bytes, bytes);
-    }
-  };
-  return coll::CollRequest(
-      std::make_unique<coll::WithCompletion<decltype(on_done)>>(
-          std::move(alg), std::move(on_done)));
+  return detail::request_of(
+      detail::all_reduce_op(*this, algo, data, count, op,
+                            next_collective_seq()),
+      [this, data, count,
+       phases = detail::phases_of(*this, perf::CollKind::kAllReduce, algo,
+                                  bytes, bytes)] {
+        detail::corrupt_reduced(data, count);
+        coll::account_phases(perf::thread_tracker(), backend_, phases,
+                             /*bracketed=*/false);
+      });
 }
 
 template <typename T>
@@ -265,35 +278,26 @@ coll::CollRequest Communicator::i_all_gather(const T* send, Index count,
   // Flat selection on purpose: the hierarchical allgather is a blocking
   // composite over sub-communicators, not a single poll-driven CollOp, so
   // the nonblocking path keeps the flat candidates.
-  const coll::Routine r =
+  const perf::CollAlgo algo =
       size() == 1 || count <= 0
-          ? coll::Routine::kNaive
+          ? perf::CollAlgo::kNaiveAlgo
           : coll::select(perf::CollKind::kAllGather, total_bytes, size(),
                          backend_);
-  if (r == coll::Routine::kNaive) {
+  if (algo == perf::CollAlgo::kNaiveAlgo) {
     all_gather(send, count, recv);
     return {};
   }
   fault::check("rank.die");
-  const std::uint64_t seq = next_collective_seq();
-  const Index ce = detail::coll_chunk_elems(sizeof(T));
-  std::unique_ptr<coll::CollOp> alg;
-  if (r == coll::Routine::kBruckAllGather) {
-    alg = std::make_unique<coll::BruckAllGather<Communicator, T>>(
-        *this, send, recv, count, ce, seq);
-  } else {
-    std::vector<Index> counts(std::size_t(size()), count);
-    std::vector<Index> displs(counts.size());
-    for (int i = 0; i < size(); ++i) displs[std::size_t(i)] = Index(i) * count;
-    alg = std::make_unique<coll::RingAllGather<Communicator, T>>(
-        *this, send, recv, std::move(counts), std::move(displs), ce, seq);
-  }
-  auto on_done = [this, total_bytes, local_bytes] {
-    account_async(perf::CollKind::kAllGather, total_bytes, local_bytes);
-  };
-  return coll::CollRequest(
-      std::make_unique<coll::WithCompletion<decltype(on_done)>>(
-          std::move(alg), std::move(on_done)));
+  return detail::request_of(
+      detail::all_gather_op(*this, algo, send, count, recv,
+                            std::vector<Index>(std::size_t(size()), count),
+                            detail::packed_displs(size(), count),
+                            next_collective_seq()),
+      [this, phases = detail::phases_of(*this, perf::CollKind::kAllGather,
+                                        algo, total_bytes, local_bytes)] {
+        coll::account_phases(perf::thread_tracker(), backend_, phases,
+                             /*bracketed=*/false);
+      });
 }
 
 }  // namespace chase::comm

@@ -1,7 +1,7 @@
 #include "coll/engine.hpp"
 
-#include <initializer_list>
 #include <limits>
+#include <span>
 
 #include "perf/cost_model.hpp"
 #include "perf/machine.hpp"
@@ -13,91 +13,27 @@ namespace {
 
 constexpr std::size_t kDefaultChunkBytes = std::size_t(64) << 10;
 
-perf::CollAlgo routine_algo(Routine r) {
-  switch (r) {
-    case Routine::kRingAllReduce:
-      return perf::CollAlgo::kRingAlgo;
-    case Routine::kRabenseifnerAllReduce:
-      return perf::CollAlgo::kRabenseifner;
-    case Routine::kRingAllGather:
-      return perf::CollAlgo::kRingAlgo;
-    case Routine::kBruckAllGather:
-      return perf::CollAlgo::kBruck;
-    case Routine::kBinomialBroadcast:
-      return perf::CollAlgo::kBinomial;
-    case Routine::kHierAllReduce:
-    case Routine::kHierAllGather:
-    case Routine::kHierBroadcast:
-      return perf::CollAlgo::kHierAlgo;
-    case Routine::kNaive:
-    default:
-      return perf::CollAlgo::kNaiveAlgo;
-  }
-}
-
-Routine cheapest(perf::CollKind kind, std::size_t bytes, int nranks,
-                 perf::Backend backend, const perf::TopoInfo& topo,
-                 std::initializer_list<Routine> candidates) {
+perf::CollAlgo cheapest(perf::CollKind kind, std::size_t bytes, int nranks,
+                        perf::Backend backend, const perf::TopoInfo& topo,
+                        std::span<const perf::CollAlgo> candidates) {
   // Priced with the process-global selection model so a loaded machine
   // profile (tune::install_profile) recalibrates the auto policy too.
   const perf::MachineModel model = perf::selection_model();
   const std::size_t chunk = chunk_bytes();
-  Routine best = Routine::kNaive;
+  perf::CollAlgo best = perf::CollAlgo::kNaiveAlgo;
   double best_cost = std::numeric_limits<double>::infinity();
-  for (Routine r : candidates) {
-    const double cost =
-        perf::coll_algo_seconds(model, backend, kind, routine_algo(r), bytes,
-                                nranks, chunk, topo);
+  for (const perf::CollAlgo a : candidates) {
+    const double cost = perf::coll_algo_seconds(model, backend, kind, a, bytes,
+                                                nranks, chunk, topo);
     if (cost < best_cost) {
       best_cost = cost;
-      best = r;
+      best = a;
     }
   }
   return best;
 }
 
-Routine hier_routine(perf::CollKind kind) {
-  switch (kind) {
-    case perf::CollKind::kAllReduce:
-      return Routine::kHierAllReduce;
-    case perf::CollKind::kAllGather:
-      return Routine::kHierAllGather;
-    case perf::CollKind::kBroadcast:
-    default:
-      return Routine::kHierBroadcast;
-  }
-}
-
 }  // namespace
-
-std::string_view routine_name(Routine r) {
-  switch (r) {
-    case Routine::kRingAllReduce:
-      return "ring_allreduce";
-    case Routine::kRabenseifnerAllReduce:
-      return "rabenseifner_allreduce";
-    case Routine::kRingAllGather:
-      return "ring_allgather";
-    case Routine::kBruckAllGather:
-      return "bruck_allgather";
-    case Routine::kBinomialBroadcast:
-      return "binomial_broadcast";
-    case Routine::kHierAllReduce:
-      return "hier_allreduce";
-    case Routine::kHierAllGather:
-      return "hier_allgather";
-    case Routine::kHierBroadcast:
-      return "hier_broadcast";
-    case Routine::kNaive:
-    default:
-      return "naive";
-  }
-}
-
-bool is_hierarchical(Routine r) {
-  return r == Routine::kHierAllReduce || r == Routine::kHierAllGather ||
-         r == Routine::kHierBroadcast;
-}
 
 Algorithm algorithm_for(perf::CollKind kind, std::size_t bytes) {
   const perf::TunedTables* t = perf::tuned_tables();
@@ -117,137 +53,104 @@ std::size_t chunk_bytes() {
 
 bool overlap_enabled() { return algorithm() == Algorithm::kAuto; }
 
-Routine select(perf::CollKind kind, std::size_t bytes, int nranks,
-               perf::Backend backend) {
+perf::CollAlgo select(perf::CollKind kind, std::size_t bytes, int nranks,
+                      perf::Backend backend) {
   return select(kind, bytes, nranks, backend, perf::TopoInfo{});
 }
 
-Routine select(perf::CollKind kind, std::size_t bytes, int nranks,
-               perf::Backend backend, const perf::TopoInfo& topo) {
-  if (nranks <= 1) return Routine::kNaive;
+perf::CollAlgo select(perf::CollKind kind, std::size_t bytes, int nranks,
+                      perf::Backend backend, const perf::TopoInfo& topo) {
+  using perf::CollAlgo;
+  if (nranks <= 1) return CollAlgo::kNaiveAlgo;
+  // The flat channel routine of each family: the ring family pairs the
+  // ordered ring (allreduce) / ring (allgather) with the binomial broadcast,
+  // the tree family Rabenseifner / bruck with the same broadcast.
+  const bool bcast = kind == perf::CollKind::kBroadcast;
+  const CollAlgo ring = bcast ? CollAlgo::kBinomial : CollAlgo::kRingAlgo;
+  const CollAlgo tree = bcast ? CollAlgo::kBinomial
+                        : kind == perf::CollKind::kAllReduce
+                            ? CollAlgo::kRabenseifner
+                            : CollAlgo::kBruck;
   const bool grouped = topo.grouped();
   switch (algorithm_for(kind, bytes)) {
     case Algorithm::kNaive:
-      return Routine::kNaive;
+      return CollAlgo::kNaiveAlgo;
     case Algorithm::kRing:
-      switch (kind) {
-        case perf::CollKind::kAllReduce:
-          return Routine::kRingAllReduce;
-        case perf::CollKind::kAllGather:
-          return Routine::kRingAllGather;
-        case perf::CollKind::kBroadcast:
-        default:
-          return Routine::kBinomialBroadcast;
-      }
+      return ring;
     case Algorithm::kTree:
-      switch (kind) {
-        case perf::CollKind::kAllReduce:
-          return Routine::kRabenseifnerAllReduce;
-        case perf::CollKind::kAllGather:
-          return Routine::kBruckAllGather;
-        case perf::CollKind::kBroadcast:
-        default:
-          return Routine::kBinomialBroadcast;
-      }
+      return tree;
     case Algorithm::kHier:
       // Explicit two-level policy; degrades to the flat ring family when the
       // communicator spans a single group (or a non-contiguous one).
-      if (grouped) return hier_routine(kind);
-      switch (kind) {
-        case perf::CollKind::kAllReduce:
-          return Routine::kRingAllReduce;
-        case perf::CollKind::kAllGather:
-          return Routine::kRingAllGather;
-        case perf::CollKind::kBroadcast:
-        default:
-          return Routine::kBinomialBroadcast;
-      }
+      return grouped ? CollAlgo::kHierAlgo : ring;
     case Algorithm::kAuto:
-    default:
-      switch (kind) {
-        case perf::CollKind::kAllReduce:
-          return grouped
-                     ? cheapest(kind, bytes, nranks, backend, topo,
-                                {Routine::kNaive, Routine::kRingAllReduce,
-                                 Routine::kRabenseifnerAllReduce,
-                                 Routine::kHierAllReduce})
-                     : cheapest(kind, bytes, nranks, backend, topo,
-                                {Routine::kNaive, Routine::kRingAllReduce,
-                                 Routine::kRabenseifnerAllReduce});
-        case perf::CollKind::kAllGather:
-          return grouped
-                     ? cheapest(kind, bytes, nranks, backend, topo,
-                                {Routine::kNaive, Routine::kRingAllGather,
-                                 Routine::kBruckAllGather,
-                                 Routine::kHierAllGather})
-                     : cheapest(kind, bytes, nranks, backend, topo,
-                                {Routine::kNaive, Routine::kRingAllGather,
-                                 Routine::kBruckAllGather});
-        case perf::CollKind::kBroadcast:
-        default:
-          return grouped
-                     ? cheapest(kind, bytes, nranks, backend, topo,
-                                {Routine::kNaive, Routine::kBinomialBroadcast,
-                                 Routine::kHierBroadcast})
-                     : cheapest(kind, bytes, nranks, backend, topo,
-                                {Routine::kNaive,
-                                 Routine::kBinomialBroadcast});
-      }
+    default: {
+      // Candidates in tie-break order (the first cheapest wins).
+      CollAlgo candidates[4] = {CollAlgo::kNaiveAlgo, ring};
+      std::size_t n = 2;
+      if (!bcast) candidates[n++] = tree;
+      if (grouped) candidates[n++] = CollAlgo::kHierAlgo;
+      return cheapest(kind, bytes, nranks, backend, topo,
+                      std::span<const CollAlgo>(candidates, n));
+    }
   }
 }
 
 std::vector<CollPhase> hier_phases(perf::CollKind kind, std::size_t bytes,
                                    int nranks, const perf::TopoInfo& topo) {
+  using perf::CollKind;
   std::vector<CollPhase> out;
   const int M = topo.nodes;
   const int per = topo.max_per_node;
   switch (kind) {
-    case perf::CollKind::kAllReduce:
+    case CollKind::kAllReduce:
       // Two-level decomposition: fold within the fast group, exchange the
       // folded block among leaders, fan the result back out.
-      if (per > 1) out.push_back({perf::CollKind::kAllReduce, bytes, per});
-      if (M > 1) out.push_back({perf::CollKind::kAllReduce, bytes, M});
-      if (per > 1) out.push_back({perf::CollKind::kBroadcast, bytes, per});
+      if (per > 1) out.push_back({CollKind::kAllReduce, bytes, per, bytes});
+      if (M > 1) out.push_back({CollKind::kAllReduce, bytes, M, bytes});
+      if (per > 1) out.push_back({CollKind::kBroadcast, bytes, per, bytes});
       break;
-    case perf::CollKind::kAllGather: {
+    case CollKind::kAllGather: {
       // `bytes` is the total gathered payload; one node's block is the
       // per-group share the intra phase assembles.
       const std::size_t node_bytes =
           nranks > 0 ? bytes / std::size_t(nranks) * std::size_t(per) : bytes;
-      if (per > 1) out.push_back({perf::CollKind::kAllGather, node_bytes, per});
-      if (M > 1) out.push_back({perf::CollKind::kAllGather, bytes, M});
+      if (per > 1) {
+        out.push_back({CollKind::kAllGather, node_bytes, per,
+                       node_bytes / std::size_t(per)});
+      }
+      if (M > 1) {
+        out.push_back({CollKind::kAllGather, bytes, M, bytes / std::size_t(M)});
+      }
       if (per > 1 && M > 1 && bytes > node_bytes) {
-        out.push_back(
-            {perf::CollKind::kBroadcast, bytes - node_bytes, per});
+        out.push_back({CollKind::kBroadcast, bytes - node_bytes, per,
+                       bytes - node_bytes});
       }
       break;
     }
-    case perf::CollKind::kBroadcast:
+    case CollKind::kBroadcast:
     default:
-      if (M > 1) out.push_back({perf::CollKind::kBroadcast, bytes, M});
-      if (per > 1) out.push_back({perf::CollKind::kBroadcast, bytes, per});
+      if (M > 1) out.push_back({CollKind::kBroadcast, bytes, M, bytes});
+      if (per > 1) out.push_back({CollKind::kBroadcast, bytes, per, bytes});
       break;
   }
   return out;
 }
 
 void account_phases(perf::Tracker* t, perf::Backend backend,
-                    const std::vector<CollPhase>& phases, bool bracketed) {
+                    std::span<const CollPhase> phases, bool bracketed) {
   if (t == nullptr) return;
+  const bool staged = backend == perf::Backend::kStdGpu;
   bool close_bracket = bracketed;
   for (const auto& p : phases) {
-    if (p.nranks <= 1) continue;
-    const std::size_t local = p.kind == perf::CollKind::kAllGather
-                                  ? p.bytes / std::size_t(p.nranks)
-                                  : p.bytes;
-    if (backend == perf::Backend::kStdGpu) t->record_memcpy(local, false);
+    if (staged) t->record_memcpy(p.local, /*to_device=*/false);
     if (close_bracket) {
       t->end_collective(p.kind, p.bytes, p.nranks);
       close_bracket = false;
     } else {
       t->record_collective(p.kind, p.bytes, p.nranks);
     }
-    if (backend == perf::Backend::kStdGpu) t->record_memcpy(p.bytes, true);
+    if (staged) t->record_memcpy(p.bytes, /*to_device=*/true);
   }
 }
 

@@ -20,6 +20,7 @@
 
 #include <cstddef>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -31,19 +32,6 @@
 namespace chase::coll {
 
 enum class Algorithm : int { kNaive = 0, kRing, kTree, kHier, kAuto };
-
-/// Concrete routine the dispatcher runs for one call.
-enum class Routine : int {
-  kNaive = 0,
-  kRingAllReduce,
-  kRabenseifnerAllReduce,
-  kRingAllGather,
-  kBruckAllGather,
-  kBinomialBroadcast,
-  kHierAllReduce,
-  kHierAllGather,
-  kHierBroadcast,
-};
 
 inline constinit policy::Policy<Algorithm, 5> algorithm_policy{
     "CHASE_COLL_ALGO",
@@ -57,12 +45,6 @@ inline std::string_view algorithm_name(Algorithm a) {
 inline std::optional<Algorithm> parse_algorithm(std::string_view name) {
   return algorithm_policy.parse(name);
 }
-std::string_view routine_name(Routine r);
-
-/// True for the two-level routines (dispatched over grouped
-/// sub-communicators).
-bool is_hierarchical(Routine r);
-
 /// Size-oblivious effective policy: the override, else the default.
 inline Algorithm algorithm() { return algorithm_policy.resolve(); }
 
@@ -88,25 +70,30 @@ class ScopedChunkBytes : public policy::Scoped {
 /// with block k's reduction) should run: policy auto.
 bool overlap_enabled();
 
-/// Pick the routine for one collective call. `bytes` follows the Tracker
-/// convention (per-rank payload for reduce/broadcast, total gathered buffer
-/// for allgather).
-Routine select(perf::CollKind kind, std::size_t bytes, int nranks,
-               perf::Backend backend);
+/// Pick the routine for one collective call of `kind`: kNaiveAlgo is the
+/// publish-and-sync reference, anything else names the channel algorithm
+/// the dispatcher runs (kRingAlgo is the ordered ring for allreduce and the
+/// ring for allgather). `bytes` follows the Tracker convention (per-rank
+/// payload for reduce/broadcast, total gathered buffer for allgather).
+perf::CollAlgo select(perf::CollKind kind, std::size_t bytes, int nranks,
+                      perf::Backend backend);
 
 /// Topology-aware variant: considers the hierarchical routines and prices
 /// every candidate with the per-link-class cost model. With a flat `topo`
 /// this is exactly the overload above. All inputs are rank-identical across
 /// a communicator, so every rank of an SPMD region picks the same routine.
-Routine select(perf::CollKind kind, std::size_t bytes, int nranks,
-               perf::Backend backend, const perf::TopoInfo& topo);
+perf::CollAlgo select(perf::CollKind kind, std::size_t bytes, int nranks,
+                      perf::Backend backend, const perf::TopoInfo& topo);
 
-/// One phase of a multi-phase (hierarchical) routine, in Tracker event
-/// terms: what ran, how many bytes it carried, over how many ranks.
+/// One Tracker event of a collective routine: what ran, how many bytes it
+/// carried, over how many ranks, and how many of those bytes this rank
+/// contributed (what the STD backend stages device-to-host). Flat routines
+/// are one phase; the hierarchical ones one per level.
 struct CollPhase {
   perf::CollKind kind;
   std::size_t bytes;
   int nranks;
+  std::size_t local;
 };
 
 /// The per-phase event decomposition of a hierarchical routine on a
@@ -118,13 +105,16 @@ struct CollPhase {
 std::vector<CollPhase> hier_phases(perf::CollKind kind, std::size_t bytes,
                                    int nranks, const perf::TopoInfo& topo);
 
-/// Record `phases` on `t` (no-op when null). When `bracketed`, the first
-/// phase closes the begin_collective() bracket the caller opened
-/// (end_collective); the remaining phases are plain record_collective()
-/// events. On the STD backend each phase additionally stages its payload
-/// over PCIe (D2H before, H2D after), mirroring what a host-staged
-/// multi-phase collective really moves.
+/// Record `phases` on `t` (no-op when null) — the one accounting path of
+/// every collective, blocking or not. When `bracketed`, the first phase
+/// closes the begin_collective() bracket the caller opened
+/// (end_collective); the remaining phases, and all phases of a nonblocking
+/// completion, are plain record_collective() events: overlapped progress
+/// time stays in the compute bucket. On the STD backend each phase
+/// additionally stages its payload over PCIe (D2H of the local share
+/// before, H2D of the whole payload after), mirroring what a host-staged
+/// collective really moves (Section 3.3).
 void account_phases(perf::Tracker* t, perf::Backend backend,
-                    const std::vector<CollPhase>& phases, bool bracketed);
+                    std::span<const CollPhase> phases, bool bracketed);
 
 }  // namespace chase::coll

@@ -27,9 +27,8 @@
 //    the canonical contiguous layout (displ[r+1] == displ[r] + count[r]);
 //    the dispatcher falls back to a flat routine otherwise.
 //
-// Both ChannelOps support reset() and therefore persistent plans
-// (coll/plan.hpp). The composite allgather draws fresh sequence numbers from
-// the sub-communicators per run; every intra member draws the same number of
+// The composite allgather draws fresh sequence numbers from the
+// sub-communicators per run; every intra member draws the same number of
 // intra seqs and only leaders draw leader seqs, so the per-comm lockstep
 // contract holds.
 #pragma once
@@ -210,14 +209,6 @@ class HierAllReduce final : public ChannelOp<Comm> {
     return true;
   }
 
-  void reset(std::uint64_t seq) override {
-    seq_ = seq;
-    red_done_ = 0;
-    chain_got_ = 0;
-    bc_recvd_ = 0;
-    bc_sent_.assign(intra_.children.size(), 0);
-    this->reset_counters();
-  }
 
  private:
   bool complete() const {
@@ -299,8 +290,7 @@ class HierBroadcast final : public ChannelOp<Comm> {
         entries_[std::size_t(layout_.my_node)] - layout_.node_first();
     intra_ = detail::BinomialShape(rank_ - layout_.node_first(),
                                    layout_.node_size(), entry_local);
-    root_has_all_ = rank_ == root;
-    recvd_ = root_has_all_ ? nc_ : 0;
+    recvd_ = rank_ == root ? nc_ : 0;
     inter_sent_.assign(inter_children_.size(), 0);
     intra_sent_.assign(intra_.children.size(), 0);
   }
@@ -348,13 +338,6 @@ class HierBroadcast final : public ChannelOp<Comm> {
     return true;
   }
 
-  void reset(std::uint64_t seq) override {
-    seq_ = seq;
-    recvd_ = root_has_all_ ? nc_ : 0;
-    inter_sent_.assign(inter_children_.size(), 0);
-    intra_sent_.assign(intra_.children.size(), 0);
-    this->reset_counters();
-  }
 
  private:
   bool complete() const {
@@ -382,7 +365,6 @@ class HierBroadcast final : public ChannelOp<Comm> {
   detail::BinomialShape intra_{0, 1, 0};
   std::vector<int> entries_;
   bool is_entry_ = false;
-  bool root_has_all_ = false;
   int inter_parent_ = -1;
   std::vector<int> inter_children_;
   Index recvd_ = 0;

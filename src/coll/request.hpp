@@ -12,11 +12,8 @@
 // fallback for naive policy, single-rank teams and empty payloads).
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <utility>
-
-#include "common/check.hpp"
 
 namespace chase::coll {
 
@@ -30,15 +27,6 @@ class CollOp {
 
   /// Block until complete (poison-aware; may throw TeamAborted).
   virtual void wait() = 0;
-
-  /// Re-arm a *completed* op for an identical replay under a fresh
-  /// collective sequence number — the persistent-plan path (coll/plan.hpp)
-  /// registers buffers and routing once and replays every iteration. All
-  /// channel algorithms support it; ops that cannot replay keep the refusing
-  /// default.
-  virtual void reset(std::uint64_t /*seq*/) {
-    CHASE_CHECK_MSG(false, "collective op does not support plan replay");
-  }
 };
 
 /// Runs `fn` exactly once when the wrapped op completes — the dispatch layer
@@ -60,11 +48,6 @@ class WithCompletion final : public CollOp {
   void wait() override {
     op_->wait();
     finish();
-  }
-
-  void reset(std::uint64_t seq) override {
-    op_->reset(seq);
-    finished_ = false;  // the completion effect re-fires per replay
   }
 
  private:

@@ -422,36 +422,6 @@ void Communicator::account_begin() const {
   if (auto* t = perf::thread_tracker()) t->begin_collective();
 }
 
-void Communicator::account_end(perf::CollKind kind, std::size_t bytes,
-                               std::size_t local_bytes) const {
-  auto* t = perf::thread_tracker();
-  if (t == nullptr) return;
-  // ChASE(STD): the payload lives on the device, so the MPI collective is
-  // bracketed by explicit staging copies (Section 3.3) — D2H for what this
-  // rank contributes, H2D for what it ends up holding. ChASE(NCCL) and the
-  // CPU build communicate in place.
-  if (backend_ == Backend::kStdGpu) {
-    t->record_memcpy(local_bytes, /*to_device=*/false);
-  }
-  t->end_collective(kind, bytes, size());
-  if (backend_ == Backend::kStdGpu) {
-    t->record_memcpy(bytes, /*to_device=*/true);
-  }
-}
-
-void Communicator::account_async(perf::CollKind kind, std::size_t bytes,
-                                 std::size_t local_bytes) const {
-  auto* t = perf::thread_tracker();
-  if (t == nullptr) return;
-  if (backend_ == Backend::kStdGpu) {
-    t->record_memcpy(local_bytes, /*to_device=*/false);
-  }
-  t->record_collective(kind, bytes, size());
-  if (backend_ == Backend::kStdGpu) {
-    t->record_memcpy(bytes, /*to_device=*/true);
-  }
-}
-
 Communicator Communicator::split(int color, int key) const {
   fault::check("rank.die");
   if (size() == 1) {

@@ -55,6 +55,7 @@
 #include <utility>
 #include <vector>
 
+#include "coll/engine.hpp"
 #include "coll/request.hpp"
 #include "comm/chunk_channel.hpp"
 #include "comm/rank_error.hpp"
@@ -302,20 +303,29 @@ class Communicator {
   /// arrived (see CommState::quiesce_wait).
   void sync_quiesce() const { state_->quiesce_wait(rank_); }
 
-  // Perf accounting around a collective body, including the STD backend's
-  // staging copies (Section 3.3): D2H before, H2D after. `bytes` is the
-  // *total* payload the collective moves (per-rank payload for
-  // reduce/broadcast, the full gathered buffer for allgather), matching the
-  // cost model's conventions; `local_bytes` is what this rank stages.
+  /// Opens the perf bracket of a blocking collective; the body closes it
+  /// with coll::account_phases(..., /*bracketed=*/true).
   void account_begin() const;
-  void account_end(perf::CollKind kind, std::size_t bytes,
-                   std::size_t local_bytes) const;
-  /// Completion-time accounting for nonblocking collectives: records the
-  /// CollectiveEvent (and STD staging copies) without the begin/end CPU-time
-  /// bracket — overlapped progress time deliberately stays in the compute
-  /// bucket.
-  void account_async(perf::CollKind kind, std::size_t bytes,
-                     std::size_t local_bytes) const;
+  /// Closes the bracket of a naive (single-event) collective. `bytes` is
+  /// the *total* payload the collective moves (per-rank payload for
+  /// reduce/broadcast, the full gathered buffer for allgather), matching
+  /// the cost model's conventions; `local_bytes` is what this rank stages
+  /// on the STD backend.
+  void account_naive(perf::CollKind kind, std::size_t bytes,
+                     std::size_t local_bytes) const {
+    const coll::CollPhase phase{kind, bytes, size(), local_bytes};
+    coll::account_phases(perf::thread_tracker(), backend_, {&phase, 1},
+                         /*bracketed=*/true);
+  }
+
+  /// Shared body of all_gather / all_gather_v once the team has more than
+  /// one rank: routine selection, then the naive, hierarchical or flat
+  /// channel path. `uniform` marks the equal-count call (bruck-eligible).
+  template <typename T>
+  void all_gather_dispatch(const T* send, Index count, T* recv,
+                           const std::vector<Index>& counts,
+                           const std::vector<Index>& displs,
+                           bool uniform) const;
 
   /// Topology emulation for the naive transport: reading `bytes` from a
   /// peer on another node pays the same cross-node link delay send_chunk
@@ -443,7 +453,7 @@ void Communicator::naive_all_reduce(T* data, Index count, Reduction op) const {
   sync_quiesce();  // all ranks done reading
   std::copy_n(acc.data(), count, data);
   detail::corrupt_reduced(data, count);
-  account_end(perf::CollKind::kAllReduce, bytes, bytes);
+  account_naive(perf::CollKind::kAllReduce, bytes, bytes);
 }
 
 template <typename T>
@@ -456,7 +466,7 @@ void Communicator::naive_broadcast(T* data, Index count, int root) const {
     std::copy_n(static_cast<const T*>(peer_ptr(root)), count, data);
   }
   sync_quiesce();  // root's buffer free again
-  account_end(perf::CollKind::kBroadcast, bytes, bytes);
+  account_naive(perf::CollKind::kBroadcast, bytes, bytes);
 }
 
 template <typename T>
@@ -478,7 +488,7 @@ void Communicator::naive_all_gather(const T* send, Index count, T* recv) const {
     }
     sync_quiesce();
   }
-  account_end(perf::CollKind::kAllGather, total_bytes, local_bytes);
+  account_naive(perf::CollKind::kAllGather, total_bytes, local_bytes);
 }
 
 template <typename T>
@@ -503,7 +513,7 @@ void Communicator::naive_all_gather_v(const T* send, Index count, T* recv,
     }
     sync_quiesce();
   }
-  account_end(perf::CollKind::kAllGather, total_bytes, local_bytes);
+  account_naive(perf::CollKind::kAllGather, total_bytes, local_bytes);
 }
 
 }  // namespace chase::comm

@@ -63,7 +63,6 @@ class DenseDlaBackend : public DlaBackend<T> {
     ws.reserve_basis(c_rows(), b_rows(), ne);
     ws.reserve_ritz(c_rows(), b_rows(), ne);
     maybe_bind_gather(ws, ne);
-    maybe_warm_plans(ne);
   }
 
   SpectralBounds<R> estimate_bounds(const ChaseConfig& cfg) override {
@@ -206,15 +205,6 @@ class DenseDlaBackend : public DlaBackend<T> {
   }
 
  protected:
-  // Build the persistent communication plans for the filter's reductions up
-  // front, so the first iteration replays instead of planning. Optional on
-  // the operator type, like the gather-buffer binding below.
-  void maybe_warm_plans(Index ne) {
-    if constexpr (requires(HOp& op) { op.warm_plans(Index{}); }) {
-      h_->warm_plans(ne);
-    }
-  }
-
   void maybe_bind_gather(Workspace& ws, Index ne) {
     if constexpr (requires(HOp& op, la::Matrix<T>* buf) {
                     op.bind_gather_buffer(buf);
@@ -245,7 +235,6 @@ class RedundantDlaBackend : public DenseDlaBackend<HOp, T> {
     ws.reserve_basis(c_rows(), b_rows(), ne);
     ws.reserve_full(global_size(), ne);
     this->maybe_bind_gather(ws, ne);
-    this->maybe_warm_plans(ne);
   }
 
   // v1.2 redundant QR: collect C into the full buffer with one broadcast per

@@ -23,7 +23,6 @@
 #include "coll/engine.hpp"
 #include "coll/request.hpp"
 #include "comm/communicator.hpp"
-#include "coll/plan.hpp"  // requires communicator.hpp (glue header)
 #include "dist/index_map.hpp"
 #include "la/gemm.hpp"
 #include "la/hemm.hpp"
@@ -139,18 +138,6 @@ class DistHermitianMatrix {
     apply_impl(la::Op::kNoTrans, alpha, x, beta, y, grid_->row_comm());
   }
 
-  /// Pre-build the persistent reduction plans both apply directions replay
-  /// (routine selection, channel state machines, grouped sub-communicators)
-  /// for `ncols`-column applies. The solver backend calls this at setup so
-  /// the filter loop starts with warm plans; lazy builds on first use cover
-  /// any other width. Collective. No-op under ABFT (the checked reduction
-  /// path is never planned).
-  void warm_plans(Index ncols) {
-    if (ncols <= 0 || coll::abft_enabled()) return;
-    warm_direction(/*c2b=*/true, ncols, grid_->col_comm());
-    warm_direction(/*c2b=*/false, ncols, grid_->row_comm());
-  }
-
  private:
   /// Visit the locally held entries of the global diagonal, in a fixed
   /// (row-run, offset) order shared by the capture and rewrite passes of
@@ -178,13 +165,9 @@ class DistHermitianMatrix {
 
     // The workspace must have ld == out_rows so the allreduce sees one
     // contiguous payload; keep one exact-height workspace per direction.
-    const bool c2b = op != la::Op::kNoTrans;
     la::Matrix<T>& ws = op == la::Op::kNoTrans ? ws_b2c_ : ws_c2b_;
     if (ws.rows() != out_rows || ws.cols() < ncols) {
       ws.resize(out_rows, std::max(ws.cols(), ncols));
-      // Plans hold raw pointers into the workspace; a reallocation voids
-      // every plan of this direction.
-      invalidate_plans(c2b);
     }
     auto partial = ws.block(0, 0, out_rows, ncols);
     const double flop_mul =
@@ -230,7 +213,10 @@ class DistHermitianMatrix {
     // the full payload, and replaying an in-flight overlapped block would
     // tangle with the pipeline's outstanding requests.
     const bool abft = coll::abft_enabled();
-    const Index nblk = abft ? 1 : plan_blocks(reduce_comm, ncols);
+    const Index nblk = abft || !coll::overlap_enabled() ||
+                               reduce_comm.size() <= 1 || ncols <= 1
+                           ? 1
+                           : std::min<Index>(ncols, 4);
     if (nblk <= 1) {
       multiply(x, partial);
       if (auto* t = perf::thread_tracker()) {
@@ -239,34 +225,26 @@ class DistHermitianMatrix {
       if (abft) {
         coll::checked_block_reduce(reduce_comm, partial);
       } else {
-        // Persistent-plan replay: selection + algorithm construction
-        // happened once (plan_for), this iteration only re-arms and runs.
-        plan_for(c2b, ncols, out_rows, reduce_comm).run(0);
+        reduce_comm.all_reduce(partial.data(), out_rows * ncols);
       }
       write_back(0, ncols);
       return;
     }
-    coll::CollPlan& plan = plan_for(c2b, ncols, out_rows, reduce_comm);
     const Index bcols = (ncols + nblk - 1) / nblk;
     coll::CollRequest pending;
     Index pj0 = 0;
     Index pbn = 0;
-    std::size_t bi = 0;
-    for (Index j0 = 0; j0 < ncols; j0 += bcols, ++bi) {
+    for (Index j0 = 0; j0 < ncols; j0 += bcols) {
       const Index bn = std::min(bcols, ncols - j0);
       auto pblk = ws.block(0, j0, out_rows, bn);
       multiply(x.block(0, j0, x.rows(), bn), pblk);
       if (auto* t = perf::thread_tracker()) {
         t->add_flops(flop_class, flop_mul * double(bn));
       }
-      // Replay this block's planned reduction nonblocking; entries whose
-      // frozen routine has no channel op (naive) complete eagerly instead.
-      coll::CollRequest req;
-      if (plan.async_capable(bi)) {
-        req = plan.start(bi);
-      } else {
-        plan.run(bi);
-      }
+      // Start this block's reduction; a block whose routine has no channel
+      // op (naive) completes eagerly instead.
+      coll::CollRequest req =
+          reduce_comm.i_all_reduce(pblk.data(), out_rows * bn);
       if (pbn > 0) {
         pending.wait();
         write_back(pj0, pbn);
@@ -281,64 +259,6 @@ class DistHermitianMatrix {
                        double((ncols + bcols - 1) / bcols));
   }
 
-  /// Column blocks the (possibly overlapped) reduction pipeline uses for an
-  /// `ncols`-wide apply — must be identical for plan build and replay.
-  Index plan_blocks(const comm::Communicator& comm, Index ncols) const {
-    return coll::overlap_enabled() && comm.size() > 1 && ncols > 1
-               ? std::min<Index>(ncols, 4)
-               : 1;
-  }
-
-  /// The persistent plan for one apply direction and width under the current
-  /// collective policy; built on first use. The key carries a policy
-  /// fingerprint (algorithm, chunk size) so a policy change between solves
-  /// rebuilds instead of replaying a stale routine choice.
-  coll::CollPlan& plan_for(bool c2b, Index ncols, Index out_rows,
-                           const comm::Communicator& reduce_comm) {
-    const int algo = int(coll::algorithm());
-    const std::size_t chunk = coll::chunk_bytes();
-    for (auto& s : plans_) {
-      if (s.c2b == c2b && s.ncols == ncols && s.algo == algo &&
-          s.chunk == chunk) {
-        return s.plan;
-      }
-    }
-    PlanSlot s;
-    s.c2b = c2b;
-    s.ncols = ncols;
-    s.algo = algo;
-    s.chunk = chunk;
-    la::Matrix<T>& ws = c2b ? ws_c2b_ : ws_b2c_;
-    const Index nblk = plan_blocks(reduce_comm, ncols);
-    const Index bcols = (ncols + nblk - 1) / nblk;
-    for (Index j0 = 0; j0 < ncols; j0 += bcols) {
-      const Index bn = std::min(bcols, ncols - j0);
-      s.plan.add_all_reduce(reduce_comm, ws.block(0, j0, out_rows, bn).data(),
-                            out_rows * bn);
-    }
-    plans_.push_back(std::move(s));
-    return plans_.back().plan;
-  }
-
-  void invalidate_plans(bool c2b) {
-    for (std::size_t i = plans_.size(); i > 0; --i) {
-      if (plans_[i - 1].c2b == c2b) {
-        plans_.erase(plans_.begin() + long(i - 1));
-      }
-    }
-  }
-
-  void warm_direction(bool c2b, Index ncols,
-                      const comm::Communicator& reduce_comm) {
-    const Index out_rows = c2b ? local_.cols() : local_.rows();
-    la::Matrix<T>& ws = c2b ? ws_c2b_ : ws_b2c_;
-    if (ws.rows() != out_rows || ws.cols() < ncols) {
-      ws.resize(out_rows, std::max(ws.cols(), ncols));
-      invalidate_plans(c2b);
-    }
-    (void)plan_for(c2b, ncols, out_rows, reduce_comm);
-  }
-
   const comm::Grid2d* grid_;
   IndexMap row_map_;
   IndexMap col_map_;
@@ -348,18 +268,6 @@ class DistHermitianMatrix {
   RealType<T> shift_ = RealType<T>(0);  // cumulative diagonal shift
   la::Matrix<T> ws_c2b_;  // partial-product workspaces, grown on demand
   la::Matrix<T> ws_b2c_;
-
-  // Persistent communication plans, keyed by apply direction, width, and the
-  // collective-policy fingerprint; invalidated when the workspace they point
-  // into reallocates.
-  struct PlanSlot {
-    bool c2b = false;
-    Index ncols = 0;
-    int algo = -1;
-    std::size_t chunk = 0;
-    coll::CollPlan plan;
-  };
-  std::vector<PlanSlot> plans_;
 };
 
 }  // namespace chase::dist

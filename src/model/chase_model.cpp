@@ -59,8 +59,8 @@ struct ModelComm {
   void collective(CollKind kind, std::size_t bytes, int nranks,
                   const perf::TopoInfo& topo) {
     if (nranks <= 1) return;
-    const coll::Routine r = coll::select(kind, bytes, nranks, backend, topo);
-    if (coll::is_hierarchical(r)) {
+    if (coll::select(kind, bytes, nranks, backend, topo) ==
+        perf::CollAlgo::kHierAlgo) {
       t.begin_collective();
       coll::account_phases(&t, backend, coll::hier_phases(kind, bytes, nranks, topo),
                            /*bracketed=*/true);
@@ -86,9 +86,8 @@ struct ModelComm {
                   const perf::TopoInfo& topo) {
     if (nranks <= 1) return;
     const std::size_t total = std::size_t(nranks) * local_bytes;
-    const coll::Routine r =
-        coll::select(CollKind::kAllGather, total, nranks, backend, topo);
-    if (coll::is_hierarchical(r)) {
+    if (coll::select(CollKind::kAllGather, total, nranks, backend, topo) ==
+        perf::CollAlgo::kHierAlgo) {
       t.begin_collective();
       coll::account_phases(
           &t, backend,

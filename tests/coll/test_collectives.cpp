@@ -19,6 +19,7 @@
 #include "common/rng.hpp"
 #include "dist/dist_matrix.hpp"
 #include "perf/tracker.hpp"
+#include "perf/tuned.hpp"
 
 namespace chase {
 namespace {
@@ -339,6 +340,76 @@ TEST(CollIntegration, DistApplyBitwiseAcrossPoliciesAndOverlapEngages) {
   }
   // The auto policy must actually have run the overlap pipeline.
   EXPECT_GT(overlap_blocks, 0.0);
+}
+
+/// Installs tuned dispatch tables for one scope; on exit no profile is
+/// installed, so later tests see the built-in defaults.
+class ScopedTunedTables {
+ public:
+  explicit ScopedTunedTables(const perf::TunedTables& t) {
+    perf::set_tuned_tables(t);
+  }
+  ~ScopedTunedTables() { perf::clear_tuned_tables(); }
+  ScopedTunedTables(const ScopedTunedTables&) = delete;
+  ScopedTunedTables& operator=(const ScopedTunedTables&) = delete;
+};
+
+TEST(CollIntegration, DistApplyFollowsAClearedTuneProfile) {
+  // The tune profile picks the allreduce routine per size class. Clearing
+  // it between two applies of one matrix must take effect at the second
+  // apply: no routine choice may outlive the profile it came from.
+  const Index n = 40;
+  const Index ncols = 3;
+  auto element = [](Index i, Index j) {
+    return 1.0 / double(1 + std::abs(int(i - j)));
+  };
+  perf::TunedTables ring_profile;
+  for (int& cell : ring_profile.coll_algo[int(perf::CollKind::kAllReduce)]) {
+    cell = int(coll::Algorithm::kRing);
+  }
+  const int p = 4;
+  std::vector<perf::Tracker> trackers((std::size_t(p)));
+  std::vector<double> ring_after_first((std::size_t(p)));
+  std::vector<double> ring_after_adhoc((std::size_t(p)));
+  ScopedTunedTables profile(ring_profile);
+  Team team(p);
+  team.run(
+      [&](Communicator& comm) {
+        comm::Grid2d grid(comm, 2, 2);
+        dist::IndexMap rmap = dist::IndexMap::block(n, grid.nprow());
+        dist::IndexMap cmap = dist::IndexMap::block(n, grid.npcol());
+        dist::DistHermitianMatrix<double> h(grid, rmap, cmap);
+        h.fill(element);
+        const Index xr = rmap.local_size(grid.my_row());
+        const Index yr = cmap.local_size(grid.my_col());
+        la::Matrix<double> x(xr, ncols), y1(yr, ncols), y2(yr, ncols);
+        for (Index j = 0; j < ncols; ++j) {
+          for (Index i = 0; i < xr; ++i) x(i, j) = element(i + 5 * j, j);
+        }
+        const std::size_t r = std::size_t(comm.rank());
+        h.apply_c2b(1.0, x.view().as_const(), 0.0, y1.view());
+        ring_after_first[r] = perf::thread_tracker()->counter(
+            "coll.ring_allreduce.calls");
+        comm.barrier();
+        if (comm.rank() == 0) perf::clear_tuned_tables();
+        comm.barrier();
+        double probe = 1.0;
+        grid.col_comm().all_reduce(&probe, 1);
+        ring_after_adhoc[r] = perf::thread_tracker()->counter(
+            "coll.ring_allreduce.calls");
+        h.apply_c2b(1.0, x.view().as_const(), 0.0, y2.view());
+        EXPECT_EQ(0, std::memcmp(y1.data(), y2.data(),
+                                 std::size_t(yr * ncols) * sizeof(double)))
+            << "rank " << r;
+      },
+      &trackers);
+  for (std::size_t r = 0; r < trackers.size(); ++r) {
+    EXPECT_EQ(ring_after_first[r], 1.0) << "rank " << r;
+    EXPECT_EQ(ring_after_adhoc[r], 1.0) << "rank " << r;
+    // The second apply ran after the clear, so it must have gone naive.
+    EXPECT_EQ(trackers[r].counter("coll.ring_allreduce.calls"), 1.0)
+        << "rank " << r;
+  }
 }
 
 TEST(CollFault, P2pCorruptPropagatesNaN) {

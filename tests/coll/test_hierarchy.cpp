@@ -3,9 +3,10 @@
 // Under test: the grouped sub-communicators a CHASE_TOPO assignment hangs
 // off split() (Communicator::hier_group), the hierarchical routines staying
 // bitwise-identical to the naive reference across node shapes x algorithms
-// x scalar types, CollPlan registration/replay reproducing the ad-hoc
-// dispatch results (with the coll.plan.* counters), and a leader-rank death
-// propagating TeamAborted through both communicator levels.
+// x scalar types, repeated rounds of blocking and nonblocking calls on one
+// communicator staying bitwise-exact with fresh payloads every round, and a
+// leader-rank death propagating TeamAborted through both communicator
+// levels.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -16,11 +17,9 @@
 
 #include "coll/engine.hpp"
 #include "comm/communicator.hpp"
-#include "coll/plan.hpp"
 #include "comm/topology.hpp"
 #include "common/faultinject.hpp"
 #include "common/rng.hpp"
-#include "perf/tracker.hpp"
 
 namespace chase {
 namespace {
@@ -248,77 +247,65 @@ TEST(HierGroup, UnevenShapeAndSplitInheritance) {
 }
 
 template <typename T>
-void plan_replay_roundtrip() {
+void repeated_rounds_roundtrip() {
   comm::ScopedTopology topo(shape("2x4"));
   coll::ScopedAlgorithm policy(coll::Algorithm::kAuto);
   coll::ScopedChunkBytes chunk_scope(96);
   const Index count = 201;
-  constexpr int kReplays = 3;
-  std::vector<perf::Tracker> trackers(static_cast<std::size_t>(kRanks));
+  constexpr int kRounds = 3;
   Team team(kRanks);
-  team.run(
-      [&](Communicator& comm) {
-        const int r = comm.rank();
-        std::vector<T> x(static_cast<std::size_t>(count));
-        std::vector<T> mine(static_cast<std::size_t>(count));
-        std::vector<T> all(std::size_t(count) * kRanks);
-        coll::CollPlan plan;
-        plan.add_all_reduce(comm, x.data(), count);
-        plan.add_broadcast(comm, x.data(), count, /*root=*/5);
-        plan.add_all_gather(comm, mine.data(), count, all.data());
-        ASSERT_EQ(plan.size(), 3u);
-        for (int it = 0; it < kReplays; ++it) {
-          const std::uint64_t salt = std::uint64_t(it) * 7919u + 13u;
-          // Replays see fresh buffer contents each iteration.
-          auto px = rank_payload<T>(r, count, salt);
-          std::copy(px.begin(), px.end(), x.begin());
-          plan.run(0);
-          EXPECT_TRUE(bitwise_equal(
-              x, reference_allreduce<T>(kRanks, count, Reduction::kSum,
-                                        salt)))
-              << "replay " << it << " rank " << r;
-          auto pb = rank_payload<T>(r, count, salt + 1);
-          std::copy(pb.begin(), pb.end(), x.begin());
-          plan.run(1);
-          EXPECT_TRUE(bitwise_equal(x, rank_payload<T>(5, count, salt + 1)))
-              << "replay " << it << " rank " << r;
-          auto pm = rank_payload<T>(r, count, salt + 2);
-          std::copy(pm.begin(), pm.end(), mine.begin());
-          plan.run(2);
-          std::vector<T> want;
-          for (int q = 0; q < kRanks; ++q) {
-            const auto part = rank_payload<T>(q, count, salt + 2);
-            want.insert(want.end(), part.begin(), part.end());
-          }
-          EXPECT_TRUE(bitwise_equal(all, want))
-              << "replay " << it << " rank " << r;
-        }
-      },
-      &trackers);
-  EXPECT_EQ(trackers[0].counter("coll.plan.builds"), 3.0);
-  EXPECT_EQ(trackers[0].counter("coll.plan.replays"), 3.0 * kReplays);
+  team.run([&](Communicator& comm) {
+    const int r = comm.rank();
+    std::vector<T> x(static_cast<std::size_t>(count));
+    std::vector<T> mine(static_cast<std::size_t>(count));
+    std::vector<T> all(std::size_t(count) * kRanks);
+    for (int it = 0; it < kRounds; ++it) {
+      const std::uint64_t salt = std::uint64_t(it) * 7919u + 13u;
+      // Every round sees fresh buffer contents.
+      auto px = rank_payload<T>(r, count, salt);
+      std::copy(px.begin(), px.end(), x.begin());
+      comm.all_reduce(x.data(), count);
+      EXPECT_TRUE(bitwise_equal(
+          x, reference_allreduce<T>(kRanks, count, Reduction::kSum, salt)))
+          << "round " << it << " rank " << r;
+      auto pb = rank_payload<T>(r, count, salt + 1);
+      std::copy(pb.begin(), pb.end(), x.begin());
+      comm.broadcast(x.data(), count, /*root=*/5);
+      EXPECT_TRUE(bitwise_equal(x, rank_payload<T>(5, count, salt + 1)))
+          << "round " << it << " rank " << r;
+      auto pm = rank_payload<T>(r, count, salt + 2);
+      std::copy(pm.begin(), pm.end(), mine.begin());
+      comm.all_gather(mine.data(), count, all.data());
+      std::vector<T> want;
+      for (int q = 0; q < kRanks; ++q) {
+        const auto part = rank_payload<T>(q, count, salt + 2);
+        want.insert(want.end(), part.begin(), part.end());
+      }
+      EXPECT_TRUE(bitwise_equal(all, want)) << "round " << it << " rank " << r;
+    }
+  });
 }
 
-TEST(CollPlan, ReplayMatchesDispatchReal) { plan_replay_roundtrip<double>(); }
-TEST(CollPlan, ReplayMatchesDispatchComplex) {
-  plan_replay_roundtrip<std::complex<double>>();
+TEST(HierDispatch, RepeatedRoundsMatchReferenceReal) {
+  repeated_rounds_roundtrip<double>();
+}
+TEST(HierDispatch, RepeatedRoundsMatchReferenceComplex) {
+  repeated_rounds_roundtrip<std::complex<double>>();
 }
 
-TEST(CollPlan, NonblockingStartMatchesBlockingRun) {
+TEST(HierDispatch, NonblockingRoundsMatchReference) {
   comm::ScopedTopology topo(shape("2x4"));
   coll::ScopedAlgorithm policy(coll::Algorithm::kRing);
   const Index count = 129;
   Team team(kRanks);
   team.run([&](Communicator& comm) {
     std::vector<double> x(static_cast<std::size_t>(count));
-    coll::CollPlan plan;
-    plan.add_all_reduce(comm, x.data(), count);
-    ASSERT_TRUE(plan.async_capable(0));
     for (int it = 0; it < 2; ++it) {
       const std::uint64_t salt = 555u + std::uint64_t(it);
       auto px = rank_payload<double>(comm.rank(), count, salt);
       std::copy(px.begin(), px.end(), x.begin());
-      coll::CollRequest req = plan.start(0);
+      coll::CollRequest req = comm.i_all_reduce(x.data(), count);
+      EXPECT_FALSE(req.done()) << "ring allreduce must run as a channel op";
       req.wait();
       EXPECT_TRUE(bitwise_equal(
           x, reference_allreduce<double>(kRanks, count, Reduction::kSum,
@@ -350,10 +337,10 @@ TEST(HierFault, LeaderDeathPropagatesThroughBothLevels) {
   }
 }
 
-TEST(HierFault, PlanReplayDeathAborts) {
-  // Replays run the fault-injection hook too: a rank dying on the Nth
-  // replay of a registered plan aborts the team instead of deadlocking the
-  // other replayers.
+TEST(HierFault, RepeatedAllReduceDeathAborts) {
+  // Every dispatched call runs the fault-injection hook: a rank dying in
+  // one of several back-to-back allreduces aborts the team instead of
+  // deadlocking the ranks still calling.
   comm::ScopedBarrierTimeout fast(kTestTimeout);
   comm::ScopedTopology topo(shape("2x4"));
   coll::ScopedAlgorithm policy(coll::Algorithm::kAuto);
@@ -362,9 +349,9 @@ TEST(HierFault, PlanReplayDeathAborts) {
   EXPECT_THROW(
       team.run([](Communicator& comm) {
         std::vector<double> x(32, 1.0);
-        coll::CollPlan plan;
-        plan.add_all_reduce(comm, x.data(), Index(x.size()));
-        for (int it = 0; it < 3; ++it) plan.run(0);
+        for (int it = 0; it < 3; ++it) {
+          comm.all_reduce(x.data(), Index(x.size()));
+        }
       }),
       comm::TeamAborted);
 }
