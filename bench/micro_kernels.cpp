@@ -7,8 +7,10 @@
 // policy x scalar type x size, plus the paired hemm-vs-gemm comparison on a
 // Hermitian operand — and writes results/bench_kernels.json (first argument
 // overrides the path); scripts/compare_bench.py checks the invariants the
-// engine must uphold. Pass --gbench to run the google-benchmark microbenches
-// instead (all the usual --benchmark_* flags apply).
+// engine must uphold. The rates are the calling thread's: the kernels spread
+// their rows over its core share (la/parallel.hpp), which the JSON records
+// next to the CPU count. Pass --gbench to run the google-benchmark
+// microbenches instead (all the usual --benchmark_* flags apply).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -24,6 +26,7 @@
 #include "la/gemm_policy.hpp"
 #include "la/heevd.hpp"
 #include "la/hemm.hpp"
+#include "la/parallel.hpp"
 #include "la/potrf.hpp"
 #include "la/qr.hpp"
 #include "la/svd.hpp"
@@ -257,7 +260,8 @@ void sweep_hemm(const char* type_name, std::vector<HemmRow>& out) {
 int run_kernel_sweep(const char* path) {
   std::vector<GemmRow> gemm_rows;
   std::vector<HemmRow> hemm_rows;
-  std::printf("kernel policy sweep (writes %s)\n", path);
+  std::printf("kernel policy sweep (writes %s), core share %d of %d cpus\n",
+              path, la::core_share(), la::cpu_count());
   sweep_gemm<float>("float", gemm_rows);
   sweep_gemm<double>("double", gemm_rows);
   sweep_gemm<std::complex<float>>("complex<float>", gemm_rows);
@@ -270,7 +274,9 @@ int run_kernel_sweep(const char* path) {
     std::fprintf(stderr, "cannot open %s for writing\n", path);
     return 1;
   }
-  std::fprintf(f, "{\n  \"gemm\": [\n");
+  std::fprintf(f, "{\n  \"cpus\": %d,\n  \"core_share\": %d,\n",
+               la::cpu_count(), la::core_share());
+  std::fprintf(f, "  \"gemm\": [\n");
   for (std::size_t i = 0; i < gemm_rows.size(); ++i) {
     const auto& r = gemm_rows[i];
     std::fprintf(f,

@@ -6,11 +6,12 @@
 #
 # tsan: ThreadSanitizer Debug build in build-tsan/, running the
 # thread-per-rank suites (ctest labels comm, fault, coll, engine, factor,
-# ckpt, svc, mixed, hier, tune, policy). The in-process SPMD runtime
-# (comm::Team, the poisoned-barrier protocol, the fault registry), the
-# src/coll chunk channels, the staged solver pipeline running one rank per
-# thread and the multi-tenant service are exactly the code a data race would
-# corrupt silently, so these suites are the ones worth the ~10x slowdown.
+# ckpt, svc, mixed, hier, tune, policy, parallel). The in-process SPMD
+# runtime (comm::Team, the poisoned-barrier protocol, the fault registry),
+# the src/coll chunk channels, the staged solver pipeline running one rank
+# per thread, the multi-tenant service and the kernels' row-parallel helper
+# pool are exactly the code a data race would corrupt silently, so these
+# suites are the ones worth the ~10x slowdown.
 #
 # asan: AddressSanitizer + UBSan Debug build in build-asan/, running the
 # full suite.

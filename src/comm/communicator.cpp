@@ -10,6 +10,7 @@
 
 #include "comm/topology.hpp"
 #include "common/env.hpp"
+#include "la/parallel.hpp"
 
 namespace chase::comm {
 
@@ -510,6 +511,7 @@ void Team::run(const std::function<void(Communicator&)>& fn,
   threads.reserve(std::size_t(nranks_));
   for (int r = 0; r < nranks_; ++r) {
     threads.emplace_back([&, r] {
+      const la::ScopedCoreShare share(std::max(1, la::cpu_count() / nranks_));
       fault::set_thread_rank(r);
       perf::Tracker* tracker =
           trackers != nullptr ? &(*trackers)[std::size_t(r)] : nullptr;

@@ -28,7 +28,10 @@
 // block and dispatch to the symmetry-aware la::hemm (one-triangle reads,
 // packed-panel replay across column blocks), off-diagonal ranks run the
 // register-tiled gemm. Both engines are column-split invariant, which is
-// what keeps the overlap pipeline's result bitwise stable.
+// what keeps the overlap pipeline's result bitwise stable, and both split
+// their output rows across the idle cores of the rank's core share
+// (la/parallel.hpp: all cores for a 1x1 solve, cpus / nranks per rank of a
+// Team) with bitwise-identical results for any number of threads.
 #pragma once
 
 #include <algorithm>

@@ -12,6 +12,10 @@
 // directly by the blocked POTRF (panel solves) and the compact-WY larfb.
 #pragma once
 
+#include <cmath>
+#include <complex>
+#include <type_traits>
+
 #include "la/blas1.hpp"
 #include "la/factor/policy.hpp"
 #include "la/gemm.hpp"
@@ -19,23 +23,59 @@
 
 namespace chase::la::factor {
 
-/// X <- X * R^{-1}, R upper triangular (seed kernel: per-column axpy).
+/// Rows per parallel unit of the right-side solve: a multiple of every
+/// type's register-tile height, and small enough that one unit's slab of a
+/// subspace-wide X (m x ne, ne <= 64) stays L2-resident.
+inline constexpr Index kTrsmRowUnit = 128;
+
+/// s * v with both complex<double> products rounded in one fixed order:
+/// re = fma(sr, vr, -(si vi)), im = fma(sr, vi, si vr). GCC contracts the
+/// library complex multiply into FMAs per compiled copy, rounding sr vr in
+/// one copy and si vi in another, so two copies of the same loop can differ
+/// in the last bit; spelled out, every copy rounds as the seed build did.
+inline std::complex<double> fixed_fma_mul(std::complex<double> s,
+                                          std::complex<double> v) {
+  return {std::fma(s.real(), v.real(), -(s.imag() * v.imag())),
+          std::fma(s.real(), v.imag(), s.imag() * v.real())};
+}
+
+/// X <- X * R^{-1}, R upper triangular (seed kernel: per-column axpy). Each
+/// row of X solves independently, so the rows run as parallel units of
+/// kTrsmRowUnit rows (la/parallel.hpp); every element sees the seed's
+/// operation sequence.
 template <typename T>
 void naive_trsm_right_upper(ConstMatrixView<T> r, MatrixView<T> x) {
   const Index n = r.rows();
   const Index m = x.rows();
-  for (Index j = 0; j < n; ++j) {
-    T* xj = x.col(j);
-    for (Index l = 0; l < j; ++l) {
-      axpy(m, -r(l, j), x.col(l), xj);
+  const Index units = (m + kTrsmRowUnit - 1) / kTrsmRowUnit;
+  la::detail::parallel_units(units, [&](Index u) {
+    const Index i0 = u * kTrsmRowUnit;
+    const Index rows = std::min(kTrsmRowUnit, m - i0);
+    for (Index j = 0; j < n; ++j) {
+      T* xj = x.col(j) + i0;
+      const T inv = T(1) / r(j, j);
+      if constexpr (std::is_same_v<T, std::complex<double>>) {
+        for (Index l = 0; l < j; ++l) {
+          const T alpha = -r(l, j);
+          const T* xl = x.col(l) + i0;
+          for (Index i = 0; i < rows; ++i) {
+            xj[i] += fixed_fma_mul(alpha, xl[i]);
+          }
+        }
+        for (Index i = 0; i < rows; ++i) xj[i] = fixed_fma_mul(inv, xj[i]);
+      } else {
+        for (Index l = 0; l < j; ++l) {
+          axpy(rows, -r(l, j), x.col(l) + i0, xj);
+        }
+        scal(rows, inv, xj);
+      }
     }
-    const T inv = T(1) / r(j, j);
-    scal(m, inv, xj);
-  }
+  });
 }
 
 /// X <- X * R^{-1}, column panels: X_j already-solved columns enter through
-/// one GEMM, then the diagonal block back-substitutes.
+/// one GEMM, then the diagonal block back-substitutes. Both steps are
+/// row-parallel (the GEMM's row chunks, the naive solve's row blocks).
 template <typename T>
 void blocked_trsm_right_upper(ConstMatrixView<T> r, MatrixView<T> x) {
   const Index n = r.rows();

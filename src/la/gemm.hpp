@@ -11,7 +11,9 @@
 // micro folds the beta pre-scale of C into the first k-panel pass instead of
 // a separate full sweep, and its packing draws from a per-thread reusable
 // buffer pool, so the filter's inner HEMM loop neither re-reads C an extra
-// time nor allocates per call. Every call records its flop count,
+// time nor allocates per call. Its row chunks run as row-parallel units
+// (la/parallel.hpp) across the calling thread's core share, bitwise equal to
+// the one-core result. Every call records its flop count,
 // wall time and kernel choice on the thread's perf::Tracker ("la.gemm.flops",
 // "la.gemm.seconds", "la.kernel.<name>.calls") — the measured Gflop/s feed
 // the machine-model calibration (perf::calibrate_gemm_rate).

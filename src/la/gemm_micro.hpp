@@ -33,6 +33,7 @@
 #endif
 
 #include "la/matrix.hpp"
+#include "la/parallel.hpp"
 
 namespace chase::la {
 
@@ -415,6 +416,12 @@ inline void macro_kernel(Index mc, Index nc, Index kc, const T* pa,
 
 /// Five-loop driver. Preconditions (enforced by the gemm() dispatcher):
 /// m, n, k > 0 and alpha != 0; beta is applied by the first k panel.
+///
+/// The caller packs each (jc, pc) panel of op(B) once; its mc row chunks are
+/// the parallel units (la/parallel.hpp), each packing its own op(A) chunk
+/// into the running thread's pool (grown only to the chunk it packs), so
+/// every C element sees the serial kernel's exact operation sequence
+/// whichever thread computes it.
 template <typename T>
 void gemm_micro(T alpha, Op opa, ConstMatrixView<T> a, Op opb,
                 ConstMatrixView<T> b, T beta, MatrixView<T> c) {
@@ -422,23 +429,24 @@ void gemm_micro(T alpha, Op opa, ConstMatrixView<T> a, Op opb,
   const Index m = c.rows();
   const Index n = c.cols();
   const Index k = op_cols(opa, a);
+  const Index chunks = (m + Tile::mc - 1) / Tile::mc;
 
-  auto& pool = pack_pool<T>();
-  T* pa = pool.buf_a(std::size_t(round_up(Tile::mc, Tile::mr)) * Tile::kc);
-  T* pb = pool.buf_b(std::size_t(round_up(Tile::nc, Tile::nr)) * Tile::kc);
+  T* pb = pack_pool<T>().buf_b(std::size_t(round_up(Tile::nc, Tile::nr)) *
+                               Tile::kc);
 
   for (Index jc = 0; jc < n; jc += Tile::nc) {
     const Index nc = std::min<Index>(Tile::nc, n - jc);
     for (Index pc = 0; pc < k; pc += Tile::kc) {
       const Index kc = std::min<Index>(Tile::kc, k - pc);
-      const bool first_panel = pc == 0;
       pack_b_micro<T, Tile::nr>(opb, b, pc, jc, kc, nc, alpha, pb);
-      for (Index ic = 0; ic < m; ic += Tile::mc) {
+      parallel_units(chunks, [&](Index u) {
+        const Index ic = u * Tile::mc;
         const Index mc = std::min<Index>(Tile::mc, m - ic);
+        T* pa = pack_pool<T>().buf_a(std::size_t(round_up(mc, Tile::mr)) * kc);
         pack_a_micro<T, Tile::mr>(opa, a, ic, pc, mc, kc, pa);
         macro_kernel<T>(mc, nc, kc, pa, pb, c.data() + ic + jc * c.ld(),
-                        c.ld(), beta, first_panel);
-      }
+                        c.ld(), beta, /*first_panel=*/pc == 0);
+      });
     }
   }
 }

@@ -11,6 +11,7 @@
 #include "common/check.hpp"
 #include "common/timer.hpp"
 #include "core/chase.hpp"
+#include "la/parallel.hpp"
 #include "svc/pool.hpp"
 
 namespace chase::svc {
@@ -260,6 +261,8 @@ struct SolverService::Impl {
   }
 
   void worker_loop() {
+    const la::ScopedCoreShare share(
+        std::max(1, la::cpu_count() / cfg.workers));
     std::unique_lock<std::mutex> lock(mu);
     for (;;) {
       work_cv.wait(lock, [this] {
