@@ -7,9 +7,10 @@
 // policy x scalar type x size, plus the paired hemm-vs-gemm comparison on a
 // Hermitian operand — and writes results/bench_kernels.json (first argument
 // overrides the path); scripts/compare_bench.py checks the invariants the
-// engine must uphold. The rates are the calling thread's: the kernels spread
-// their rows over its core share (la/parallel.hpp), which the JSON records
-// next to the CPU count. Pass --gbench to run the google-benchmark
+// engine must uphold. The sweep runs at a core share of one
+// (la/parallel.hpp), so every rate is a one-core rate and the micro-vs-naive
+// and hemm-vs-gemm gates compare single-core kernels; the JSON records the
+// share next to the CPU count. Pass --gbench to run the google-benchmark
 // microbenches instead (all the usual --benchmark_* flags apply).
 #include <benchmark/benchmark.h>
 
@@ -258,6 +259,7 @@ void sweep_hemm(const char* type_name, std::vector<HemmRow>& out) {
 }
 
 int run_kernel_sweep(const char* path) {
+  la::ScopedCoreShare one_core(1);
   std::vector<GemmRow> gemm_rows;
   std::vector<HemmRow> hemm_rows;
   std::printf("kernel policy sweep (writes %s), core share %d of %d cpus\n",

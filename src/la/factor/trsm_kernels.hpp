@@ -12,10 +12,6 @@
 // directly by the blocked POTRF (panel solves) and the compact-WY larfb.
 #pragma once
 
-#include <cmath>
-#include <complex>
-#include <type_traits>
-
 #include "la/blas1.hpp"
 #include "la/factor/policy.hpp"
 #include "la/gemm.hpp"
@@ -27,17 +23,6 @@ namespace chase::la::factor {
 /// type's register-tile height, and small enough that one unit's slab of a
 /// subspace-wide X (m x ne, ne <= 64) stays L2-resident.
 inline constexpr Index kTrsmRowUnit = 128;
-
-/// s * v with both complex<double> products rounded in one fixed order:
-/// re = fma(sr, vr, -(si vi)), im = fma(sr, vi, si vr). GCC contracts the
-/// library complex multiply into FMAs per compiled copy, rounding sr vr in
-/// one copy and si vi in another, so two copies of the same loop can differ
-/// in the last bit; spelled out, every copy rounds as the seed build did.
-inline std::complex<double> fixed_fma_mul(std::complex<double> s,
-                                          std::complex<double> v) {
-  return {std::fma(s.real(), v.real(), -(s.imag() * v.imag())),
-          std::fma(s.real(), v.imag(), s.imag() * v.real())};
-}
 
 /// X <- X * R^{-1}, R upper triangular (seed kernel: per-column axpy). Each
 /// row of X solves independently, so the rows run as parallel units of
@@ -53,22 +38,11 @@ void naive_trsm_right_upper(ConstMatrixView<T> r, MatrixView<T> x) {
     const Index rows = std::min(kTrsmRowUnit, m - i0);
     for (Index j = 0; j < n; ++j) {
       T* xj = x.col(j) + i0;
-      const T inv = T(1) / r(j, j);
-      if constexpr (std::is_same_v<T, std::complex<double>>) {
-        for (Index l = 0; l < j; ++l) {
-          const T alpha = -r(l, j);
-          const T* xl = x.col(l) + i0;
-          for (Index i = 0; i < rows; ++i) {
-            xj[i] += fixed_fma_mul(alpha, xl[i]);
-          }
-        }
-        for (Index i = 0; i < rows; ++i) xj[i] = fixed_fma_mul(inv, xj[i]);
-      } else {
-        for (Index l = 0; l < j; ++l) {
-          axpy(rows, -r(l, j), x.col(l) + i0, xj);
-        }
-        scal(rows, inv, xj);
+      for (Index l = 0; l < j; ++l) {
+        axpy(rows, -r(l, j), x.col(l) + i0, xj);
       }
+      const T inv = T(1) / r(j, j);
+      scal(rows, inv, xj);
     }
   });
 }

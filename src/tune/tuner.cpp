@@ -13,6 +13,7 @@
 #include "common/rng.hpp"
 #include "la/gemm.hpp"
 #include "la/gemm_policy.hpp"
+#include "la/parallel.hpp"
 #include "la/potrf.hpp"
 #include "la/trsm.hpp"
 #include "tune/measure.hpp"
@@ -295,11 +296,17 @@ MachineProfile run_tuning(const TuneOptions& opts_in) {
   const TuneOptions opts = opts_in.with_defaults();
   MachineProfile p;
   p.fingerprint = local_fingerprint();
-  probe_gemm<float>(opts, "f", p.measurements);
-  probe_gemm<double>(opts, "d", p.measurements);
-  probe_gemm<std::complex<float>>(opts, "c", p.measurements);
-  probe_gemm<std::complex<double>>(opts, "z", p.measurements);
-  probe_factor(opts, p.measurements);
+  {
+    // Kernel rates are measured on one core: this thread's share would
+    // otherwise be every CPU, while a rank thread reading the profile runs
+    // at cpus / nranks.
+    la::ScopedCoreShare one_core(1);
+    probe_gemm<float>(opts, "f", p.measurements);
+    probe_gemm<double>(opts, "d", p.measurements);
+    probe_gemm<std::complex<float>>(opts, "c", p.measurements);
+    probe_gemm<std::complex<double>>(opts, "z", p.measurements);
+    probe_factor(opts, p.measurements);
+  }
   if (!opts.skip_collectives) probe_collectives(opts, p.measurements);
   p.tables = derive_selections(p.measurements);
   return p;
