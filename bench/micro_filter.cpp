@@ -97,7 +97,7 @@ void bench_filter_speedup(MixedResult& out, Index n, Index ncols, int degree,
   SeqFilter<T> src(n, ncols, degree, 5);
   dist::DistHermitianMatrix<L> h32(src.grid, dist::IndexMap::block(n, 1),
                                    dist::IndexMap::block(n, 1));
-  la::demote<T>(src.h.local().as_const(), h32.local());
+  h32.fill_demoted(src.h);
   la::Matrix<L> c32(n, ncols), b32(n, ncols);
 
   out.fp64_seconds = best_of(reps, [&] {

@@ -46,13 +46,15 @@
 namespace chase::core {
 
 /// Operators the mixed backend can shadow in low precision: the working
-/// scalar has a lower partner and the operator exposes the explicit local
-/// block plus the grid/maps needed to build a DistHermitianMatrix shadow.
-/// Matrix-free operators fail this and solve in pure fp64.
+/// scalar has a lower partner and the operator exposes its explicit local
+/// block (element access) plus the grid/maps needed to build a
+/// DistHermitianMatrix shadow. Matrix-free operators fail this and solve in
+/// pure fp64.
 template <typename HOp>
 concept MixedShadowCapable =
-    la::kHasLowPrecision<typename HOp::Scalar> && requires(HOp& h) {
-      { h.local() };
+    la::kHasLowPrecision<typename HOp::Scalar> && requires(const HOp& h) {
+      { h.local_at(la::Index(0), la::Index(0)) };
+      { h.local_packed() };
       { h.grid() };
       { h.row_map() };
       { h.col_map() };
@@ -221,14 +223,15 @@ class MixedDlaBackend : public Base {
 
  private:
   /// (Re)build the fp32 shadow of H from the operator's pristine local
-  /// block. Called at setup, before any diagonal shift is applied.
+  /// block, in the same storage (packed on a Hermitian-block rank). Called
+  /// at setup, before any diagonal shift is applied.
   void refresh_shadow() {
     const HOp& src = *this->h_;
-    if (!h_low_ || h_low_->local_rows() != src.local().rows() ||
-        h_low_->local_cols() != src.local().cols()) {
+    if (!h_low_ || h_low_->local_rows() != src.local_rows() ||
+        h_low_->local_cols() != src.local_cols()) {
       h_low_.emplace(src.grid(), src.row_map(), src.col_map());
     }
-    la::demote<T>(src.local(), h_low_->local());
+    h_low_->fill_demoted(src);
   }
 
   /// Fill quot_[0..cand) with the fp64 Rayleigh quotients of the candidate

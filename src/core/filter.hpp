@@ -24,14 +24,16 @@
 // records how often the pipeline engaged.
 //
 // The local multiply inside every apply runs the CHASE_GEMM_KERNEL policy
-// engine (src/la/gemm.hpp): diagonal ranks of the grid hold a Hermitian
-// block and dispatch to the symmetry-aware la::hemm (one-triangle reads,
-// packed-panel replay across column blocks), off-diagonal ranks run the
-// register-tiled gemm. Both engines are column-split invariant, which is
-// what keeps the overlap pipeline's result bitwise stable, and both split
-// their output rows across the idle cores of the rank's core share
-// (la/parallel.hpp: all cores for a 1x1 solve, cpus / nranks per rank of a
-// Team) with bitwise-identical results for any number of threads.
+// engine (src/la/gemm.hpp): diagonal ranks of the grid hold their Hermitian
+// block only in la::hemm's packed panel order, built once from the upper
+// triangle when H is filled, so no apply re-packs H (the diagonal shift
+// below rewrites the n packed diagonal entries); off-diagonal ranks run the
+// register-tiled gemm, which packs their plain block per call. Both engines
+// are column-split invariant, which is what keeps the overlap pipeline's
+// result bitwise stable, and both split their output rows across the idle
+// cores of the rank's core share (la/parallel.hpp: all cores for a 1x1
+// solve, cpus / nranks per rank of a Team) with bitwise-identical results
+// for any number of threads.
 #pragma once
 
 #include <algorithm>

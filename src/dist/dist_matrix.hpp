@@ -15,6 +15,15 @@
 // re-distribution between filter steps is thereby avoided entirely, which is
 // why ChASE enforces even Chebyshev degrees (the filtered vectors always end
 // in the C layout).
+//
+// Storage. A rank whose local block is itself Hermitian (every rank of a 1x1
+// grid, the diagonal ranks of a square grid with matching maps) holds that
+// block only in la::hemm's packed panel order (la::PackedHermitian), filled
+// from the upper triangle, as ChASE copies H to each device once and then
+// calls its HEMM on it repeatedly: no apply re-packs H, and there is no plain
+// copy next to it. Every other rank keeps the plain block and lets gemm pack
+// per call — its two apply directions read op(A) = H_loc and H_loc^H, which
+// would need two packed layouts. Either way local_at() reads one element.
 #pragma once
 
 #include <vector>
@@ -24,6 +33,7 @@
 #include "coll/request.hpp"
 #include "comm/communicator.hpp"
 #include "dist/index_map.hpp"
+#include "la/convert.hpp"
 #include "la/gemm.hpp"
 #include "la/hemm.hpp"
 #include "perf/tracker.hpp"
@@ -40,17 +50,17 @@ class DistHermitianMatrix {
       : grid_(&grid),
         row_map_(std::move(row_map)),
         col_map_(std::move(col_map)),
-        local_(row_map_.local_size(grid.my_row()),
-               col_map_.local_size(grid.my_col())) {
+        rows_(row_map_.local_size(grid.my_row())),
+        cols_(col_map_.local_size(grid.my_col())) {
     CHASE_CHECK(row_map_.global_size() == col_map_.global_size());
     CHASE_CHECK(row_map_.parts() == grid.nprow());
     CHASE_CHECK(col_map_.parts() == grid.npcol());
     // A rank whose row share and column share cover the same global indices
     // (in the same local order) holds a diagonal block of H, which is itself
-    // Hermitian — its local multiply can run through the symmetry-aware
-    // la::hemm engine in both apply directions. On a 1x1 grid this is the
-    // whole matrix; on square grids with matching maps it is every diagonal
-    // rank of the grid.
+    // Hermitian — it is stored packed and multiplied through the
+    // symmetry-aware la::hemm engine in both apply directions. On a 1x1 grid
+    // this is the whole matrix; on square grids with matching maps it is
+    // every diagonal rank of the grid.
     const auto rr = row_map_.runs(grid.my_row());
     const auto cr = col_map_.runs(grid.my_col());
     local_hermitian_ = rr.size() == cr.size();
@@ -59,37 +69,49 @@ class DistHermitianMatrix {
                          rr[i].local_begin == cr[i].local_begin &&
                          rr[i].length == cr[i].length;
     }
+    global_row_ = global_indices(row_map_, grid.my_row());
+    global_col_ = global_indices(col_map_, grid.my_col());
+    if (local_hermitian_) {
+      packed_.fill(rows_, [](Index, Index) { return T(0); });
+    } else {
+      local_.resize(rows_, cols_);
+    }
   }
 
   Index global_size() const { return row_map_.global_size(); }
-  Index local_rows() const { return local_.rows(); }
-  Index local_cols() const { return local_.cols(); }
+  Index local_rows() const { return rows_; }
+  Index local_cols() const { return cols_; }
   const IndexMap& row_map() const { return row_map_; }
   const IndexMap& col_map() const { return col_map_; }
   const comm::Grid2d& grid() const { return *grid_; }
 
-  la::MatrixView<T> local() { return local_.view(); }
-  la::ConstMatrixView<T> local() const { return local_.view(); }
+  /// Element (i, j) of the local block (local indices). On a packed rank the
+  /// upper triangle defines the block: (i, j) below the diagonal reads
+  /// conj of the stored (j, i).
+  T local_at(Index i, Index j) const {
+    return local_hermitian_ ? packed_.at(i, j) : local_(i, j);
+  }
+
+  /// True when this rank holds its block packed (see the header comment).
+  bool local_packed() const { return local_hermitian_; }
+
+  /// The packed block (empty on a plain rank).
+  const la::PackedHermitian<T>& packed() const { return packed_; }
+
+  /// Scalars of local-block storage held: round_up(n, MR) * n on a packed
+  /// rank, rows * cols on a plain one.
+  std::size_t local_storage() const {
+    return packed_.size() + std::size_t(local_.rows() * local_.cols());
+  }
 
   /// Fill the local block from a global element functor f(i, j). The functor
-  /// must describe a Hermitian matrix; this is not re-checked here.
+  /// must describe a Hermitian matrix; this is not re-checked here. A packed
+  /// rank reads only its upper triangle (f(i, j) with local i <= j).
   template <typename F>
   void fill(F&& f) {
-    diag_base_.clear();  // re-capture the pristine diagonal on next shift
-    shift_ = RealType<T>(0);
-    const auto row_runs = row_map_.runs(grid_->my_row());
-    const auto col_runs = col_map_.runs(grid_->my_col());
-    for (const auto& cr : col_runs) {
-      for (Index jc = 0; jc < cr.length; ++jc) {
-        const Index gj = cr.global_begin + jc;
-        const Index lj = cr.local_begin + jc;
-        for (const auto& rr : row_runs) {
-          for (Index ir = 0; ir < rr.length; ++ir) {
-            local_(rr.local_begin + ir, lj) = f(rr.global_begin + ir, gj);
-          }
-        }
-      }
-    }
+    fill_local([&](Index i, Index j) {
+      return f(global_row_[std::size_t(i)], global_col_[std::size_t(j)]);
+    });
   }
 
   /// Extract the local block from a replicated global matrix.
@@ -97,6 +119,21 @@ class DistHermitianMatrix {
     CHASE_CHECK(global.rows() == global_size() &&
                 global.cols() == global_size());
     fill([&](Index i, Index j) { return global(i, j); });
+  }
+
+  /// Make this matrix the elementwise la::demote_value of `src`, a matrix of
+  /// the next higher precision on the same grid and maps (the
+  /// mixed-precision filter's shadow). Packed to packed goes element by
+  /// element through local_at, which demote(conj x) == conj(demote x) makes
+  /// bitwise the demotion of the plain block.
+  template <typename Src>
+  void fill_demoted(const Src& src) {
+    CHASE_CHECK_MSG(src.local_rows() == rows_ && src.local_cols() == cols_ &&
+                        src.local_packed() == local_hermitian_,
+                    "fill_demoted: source block does not match");
+    fill_local([&](Index i, Index j) {
+      return la::demote_value(src.local_at(i, j));
+    });
   }
 
   /// H += s I on the locally held part of the global diagonal. The Chebyshev
@@ -111,15 +148,22 @@ class DistHermitianMatrix {
     // guarantee (src/ckpt) cannot tolerate — a resumed solve refills H from
     // the source while an uninterrupted one would carry the drifted copy.
     if (diag_base_.empty()) {
-      for_each_diag([&](T& d) { diag_base_.push_back(d); });
+      for_each_diag([&](Index i, Index j) {
+        diag_base_.push_back(local_at(i, j));
+      });
     }
     shift_ += s;
     std::size_t k = 0;
-    if (shift_ == RealType<T>(0)) {
-      for_each_diag([&](T& d) { d = diag_base_[k++]; });
-    } else {
-      for_each_diag([&](T& d) { d = diag_base_[k++] + T(shift_); });
-    }
+    for_each_diag([&](Index i, Index j) {
+      const T d = shift_ == RealType<T>(0) ? diag_base_[k]
+                                           : diag_base_[k] + T(shift_);
+      ++k;
+      if (local_hermitian_) {
+        packed_.set(i, j, d);
+      } else {
+        local_(i, j) = d;
+      }
+    });
   }
 
   /// y_B = alpha * H^H x_C + beta * y_B over `ncols` columns.
@@ -139,16 +183,42 @@ class DistHermitianMatrix {
   }
 
  private:
-  /// Visit the locally held entries of the global diagonal, in a fixed
-  /// (row-run, offset) order shared by the capture and rewrite passes of
-  /// shift_diagonal.
+  /// Global index of each local index of `part` under `map`.
+  static std::vector<Index> global_indices(const IndexMap& map, int part) {
+    std::vector<Index> g(std::size_t(map.local_size(part)));
+    for (const auto& run : map.runs(part)) {
+      for (Index k = 0; k < run.length; ++k) {
+        g[std::size_t(run.local_begin + k)] = run.global_begin + k;
+      }
+    }
+    return g;
+  }
+
+  /// Fill the local block from a local element functor f(i, j) and reset
+  /// the diagonal-shift state. A packed rank calls f only for i <= j.
+  template <typename F>
+  void fill_local(F&& f) {
+    diag_base_.clear();  // re-capture the pristine diagonal on next shift
+    shift_ = RealType<T>(0);
+    if (local_hermitian_) {
+      packed_.fill(rows_, f);
+      return;
+    }
+    for (Index j = 0; j < cols_; ++j) {
+      for (Index i = 0; i < rows_; ++i) local_(i, j) = f(i, j);
+    }
+  }
+
+  /// Visit the local (row, col) positions of the locally held entries of
+  /// the global diagonal, in a fixed (row-run, offset) order shared by the
+  /// capture and rewrite passes of shift_diagonal.
   template <typename Fn>
   void for_each_diag(Fn&& fn) {
     for (const auto& rr : row_map_.runs(grid_->my_row())) {
       for (Index k = 0; k < rr.length; ++k) {
         const Index g = rr.global_begin + k;
         if (col_map_.owner(g) != grid_->my_col()) continue;
-        fn(local_(rr.local_begin + k, col_map_.local_index(g)));
+        fn(rr.local_begin + k, col_map_.local_index(g));
       }
     }
   }
@@ -156,9 +226,8 @@ class DistHermitianMatrix {
   void apply_impl(la::Op op, T alpha, la::ConstMatrixView<T> x, T beta,
                   la::MatrixView<T> y, const comm::Communicator& reduce_comm) {
     const Index ncols = x.cols();
-    const Index out_rows = op == la::Op::kNoTrans ? local_.rows() : local_.cols();
-    CHASE_CHECK_MSG(
-        x.rows() == (op == la::Op::kNoTrans ? local_.cols() : local_.rows()),
+    const Index out_rows = op == la::Op::kNoTrans ? rows_ : cols_;
+    CHASE_CHECK_MSG(x.rows() == (op == la::Op::kNoTrans ? cols_ : rows_),
         "apply: input rows do not match the local H panel");
     CHASE_CHECK_MSG(y.rows() == out_rows && y.cols() == ncols,
                     "apply: output shape mismatch");
@@ -171,8 +240,7 @@ class DistHermitianMatrix {
     }
     auto partial = ws.block(0, 0, out_rows, ncols);
     const double flop_mul =
-        (kIsComplex<T> ? 8.0 : 2.0) * double(local_.rows()) *
-        double(local_.cols());
+        (kIsComplex<T> ? 8.0 : 2.0) * double(rows_) * double(cols_);
     // fp32 storage (the mixed-precision filter's shadow) is priced at the
     // machine model's single-precision rate.
     const perf::FlopClass flop_class = sizeof(RealType<T>) == 4
@@ -190,14 +258,14 @@ class DistHermitianMatrix {
       }
     };
 
-    // Local multiply for one column block. Diagonal ranks dispatch to
-    // la::hemm — the local panel is Hermitian, so H_loc^H == H_loc and both
-    // apply directions read only one triangle under the micro policy;
-    // off-diagonal ranks run the plain policy-selected gemm.
+    // Local multiply for one column block. Packed ranks dispatch to la::hemm
+    // on the packed block — it is Hermitian, so H_loc^H == H_loc serves both
+    // apply directions with no re-pack; plain ranks run the policy-selected
+    // gemm, which packs op(H_loc) per call.
     const auto multiply = [&](la::ConstMatrixView<T> xin,
                               la::MatrixView<T> out) {
       if (local_hermitian_) {
-        la::hemm(alpha, local_.view().as_const(), xin, T(0), out);
+        la::hemm(alpha, packed_, xin, T(0), out);
       } else {
         la::gemm(alpha, op, local_.view().as_const(), la::Op::kNoTrans, xin,
                  T(0), out);
@@ -262,8 +330,13 @@ class DistHermitianMatrix {
   const comm::Grid2d* grid_;
   IndexMap row_map_;
   IndexMap col_map_;
+  Index rows_;
+  Index cols_;
   bool local_hermitian_ = false;  // this rank holds a diagonal block of H
-  la::Matrix<T> local_;
+  la::PackedHermitian<T> packed_;  // the block, on a local_hermitian_ rank
+  std::vector<Index> global_row_;  // local row index -> global index
+  std::vector<Index> global_col_;  // local column index -> global index
+  la::Matrix<T> local_;            // the block, on every other rank
   std::vector<T> diag_base_;      // pristine owned diagonal (lazy capture)
   RealType<T> shift_ = RealType<T>(0);  // cumulative diagonal shift
   la::Matrix<T> ws_c2b_;  // partial-product workspaces, grown on demand

@@ -99,10 +99,10 @@ inline constexpr Index round_up(Index v, Index unit) {
   return ((v + unit - 1) / unit) * unit;
 }
 
-/// Ask the kernel to back a buffer with transparent huge pages. hemm's
-/// whole-triangle pack cache spans many megabytes and its replay sweeps walk
-/// it front to back; on 4 KiB pages that walk turns into a dTLB miss every
-/// page, which is measurable once the micro-kernel runs near FMA peak.
+/// Ask the kernel to back a buffer with transparent huge pages. A packed
+/// Hermitian operand (hemm.hpp) spans many megabytes and every hemm call
+/// walks it front to back; on 4 KiB pages that walk turns into a dTLB miss
+/// every page, which is measurable once the micro-kernel runs near FMA peak.
 inline void advise_huge_pages(void* p, std::size_t bytes) {
 #if defined(__linux__) && defined(MADV_HUGEPAGE)
   constexpr std::size_t kHuge = 2u << 20;
@@ -176,6 +176,18 @@ inline void packed_a_store(T* panel, Index l, Index i, T v) {
     d[MR + i] = v.imag();
   } else {
     panel[l * MR + i] = v;
+  }
+}
+
+/// Element (i, l) of one packed A micro-panel: the inverse of packed_a_store.
+template <typename T, Index MR>
+inline T packed_a_load(const T* panel, Index l, Index i) {
+  if constexpr (kPlanarPackA<T, MR>) {
+    const auto* d =
+        reinterpret_cast<const typename T::value_type*>(panel) + l * 2 * MR;
+    return T(d[i], d[MR + i]);
+  } else {
+    return panel[l * MR + i];
   }
 }
 

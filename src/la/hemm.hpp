@@ -3,16 +3,16 @@
 // of vectors) and of every diagonal-rank panel in the distributed HEMM.
 //
 // Under the `micro` kernel policy this runs a symmetry-aware variant of the
-// five-loop engine (gemm_micro.hpp): only the *upper* triangle of A's
-// storage is read. The symmetric dimension is tiled into kc-deep k blocks;
-// for k block q the stored upper blocks supply the direct products
-// C_r += A_rq B_q (rows above the block) straight, the diagonal block
-// densified, and the mirrored products C_r += A_qr^H B_q (rows below it)
-// conjugate-transposed while packing. With more than one B column panel the
-// complex engine packs A once and replays the packed panels for every later
-// panel — gemm must re-pack op(A) per column panel, and that saved re-pack
-// (plus needing only one triangle valid) is the Hermitian engine's
-// advantage.
+// five-loop engine (gemm_micro.hpp) over a PackedHermitian operand: A held
+// only in the panel order the engine reads, built once from A's *upper*
+// triangle. The symmetric dimension is tiled into kc-deep k blocks; for
+// k block q the packed panels hold the direct products' rows A_rq (rows
+// above the block) straight, the diagonal block densified, and the mirrored
+// rows A_qr^H (rows below it) conjugate-transposed. A caller that applies
+// the same A many times (dist::DistHermitianMatrix, the filter's operator)
+// keeps the packed form as its only copy of A, so no call re-packs it; the
+// plain-operand hemm() packs A into a per-thread scratch first and then runs
+// the same loop.
 //
 // The output rows are cut into kHemmUnit-row units that run in parallel
 // (la/parallel.hpp): each unit sweeps every k block in ascending order
@@ -26,11 +26,13 @@
 // contract the complex multiply-accumulates differently in the two inlined
 // instantiations.)
 //
-// Under the `naive` policy hemm() simply forwards to gemm() so the oracle
-// stays byte-for-byte the seed behaviour.
+// Under the `naive` policy hemm() forwards to gemm() so the oracle stays
+// byte-for-byte the seed behaviour; a packed operand is unpacked into a
+// per-call scratch for it.
 #pragma once
 
 #include <algorithm>
+#include <vector>
 
 #include "la/gemm.hpp"
 
@@ -55,68 +57,130 @@ template <typename T>
 inline constexpr Index kHemmUnit =
     round_up(MicroTile<T>::mc / 4, MicroTile<T>::mr);
 
-/// Pack rows [p_lo, p_hi) (p_lo a multiple of MR) of the diagonal block
-/// [d0, d0+nd)^2 of Hermitian A into mr micro-panels starting at `buf`,
-/// reading only the upper triangle and mirroring conjugates below it.
-template <typename T, Index MR>
-inline void pack_a_herm_diag(ConstMatrixView<T> a, Index d0, Index nd,
-                             Index p_lo, Index p_hi, T* buf) {
-  for (Index p0 = p_lo; p0 < p_hi; p0 += MR) {
-    const Index pr = std::min<Index>(MR, p_hi - p0);
-    T* dst = buf + (p0 - p_lo) * nd;
-    for (Index l = 0; l < nd; ++l) {
-      // Rows on/above the diagonal stream from column l; rows below it walk
-      // row l of the upper triangle (stride ld) and conjugate.
-      const Index up = std::clamp<Index>(l - p0 + 1, 0, pr);
-      const T* src = a.col(d0 + l) + d0 + p0;
-      for (Index i = 0; i < up; ++i) packed_a_store<T, MR>(dst, l, i, src[i]);
-      const T* mirror = &a(d0 + l, d0 + p0 + up);
-      const Index ld = a.ld();
-      for (Index i = up; i < pr; ++i) {
-        packed_a_store<T, MR>(dst, l, i, conjugate(mirror[(i - up) * ld]));
+/// A Hermitian matrix stored only in hemm's packed panel order — no plain
+/// n x n copy. Unit u (rows [u0, u0 + nu), u0 = u * kHemmUnit) owns the run
+/// starting at u0 * n; inside it k block q (columns [q0, q0 + nq)) sits at
+/// round_up(nu, MR) * q0 as MR-row micro-panels of nq columns, written by
+/// packed_a_store. Every element (i, j) of the matrix appears exactly once:
+/// A(i, j) for i <= j and conj(A(j, i)) below the diagonal, so the upper
+/// triangle defines the matrix. Rows past n in the last micro-panel are zero.
+/// Total size round_up(n, MR) * n scalars.
+template <typename T>
+class PackedHermitian {
+ public:
+  static constexpr Index MR = MicroTile<T>::mr;
+  static constexpr Index NB = kHemmBlock<T>;
+  static constexpr Index UR = kHemmUnit<T>;
+
+  PackedHermitian() = default;
+
+  Index rows() const { return n_; }
+  const T* data() const { return buf_.data(); }
+  /// Scalars held: round_up(n, MR) * n.
+  std::size_t size() const { return std::size_t(round_up(n_, MR) * n_); }
+
+  /// Build the n x n matrix from its upper triangle: upper(i, j) is called
+  /// only with i <= j, and element (j, i) becomes conj(upper(i, j)). Writes
+  /// every slot, padding included, so a refill leaves nothing of the
+  /// previous matrix behind.
+  template <typename F>
+  void fill(Index n, F&& upper) {
+    resize(n);
+    for (Index u0 = 0; u0 < n; u0 += UR) {
+      const Index nu = std::min<Index>(UR, n - u0);
+      for (Index q0 = 0; q0 < n; q0 += NB) {
+        const Index nq = std::min<Index>(NB, n - q0);
+        T* blk = buf_.data() + block_offset(u0, q0);
+        for (Index p0 = 0; p0 < nu; p0 += MR) {
+          T* panel = blk + p0 * nq;
+          const Index r0 = u0 + p0;
+          const Index valid = std::min<Index>(MR, n - r0);
+          for (Index l = 0; l < nq; ++l) {
+            // Panel rows on/above the diagonal read column j, rows below it
+            // mirror row j, rows past n are zero padding.
+            const Index j = q0 + l;
+            const Index up = std::clamp<Index>(j - r0 + 1, 0, valid);
+            for (Index i = 0; i < up; ++i) {
+              packed_a_store<T, MR>(panel, l, i, T(upper(r0 + i, j)));
+            }
+            for (Index i = up; i < valid; ++i) {
+              packed_a_store<T, MR>(panel, l, i,
+                                    conjugate(T(upper(j, r0 + i))));
+            }
+            for (Index i = valid; i < MR; ++i) {
+              packed_a_store<T, MR>(panel, l, i, T(0));
+            }
+          }
+        }
       }
-      for (Index i = pr; i < MR; ++i) packed_a_store<T, MR>(dst, l, i, T(0));
     }
   }
-}
 
-/// Pack the rows [u0, u0+nu) x k block [q0, q0+nq) of Hermitian A (full
-/// storage, upper triangle read) into one mr-panel run: rows above the k
-/// block come straight from the stored block A_rq, rows inside it from the
-/// densified diagonal block, rows below it conjugate-transposed from the
-/// stored block A_qr. u0 is a multiple of MR and q0 of kHemmBlock, so every
-/// segment starts on a micro-panel boundary.
-template <typename T, Index MR>
-inline void pack_a_herm_rows(ConstMatrixView<T> a, Index u0, Index nu,
-                             Index q0, Index nq, T* buf) {
-  const Index u1 = u0 + nu;
-  const Index direct_end = std::min(u1, q0);
-  const Index diag_end = std::min(u1, q0 + nq);
-  if (u0 < direct_end) {
-    pack_a_micro<T, MR>(Op::kNoTrans, a, u0, q0, direct_end - u0, nq, buf);
+  /// The micro-panels of unit rows starting at u0 (a multiple of kHemmUnit)
+  /// x the k block starting at q0 (a multiple of kHemmBlock).
+  const T* block(Index u0, Index q0) const {
+    return buf_.data() + block_offset(u0, q0);
   }
-  const Index d_lo = std::max(u0, q0);
-  if (d_lo < diag_end) {
-    pack_a_herm_diag<T, MR>(a, q0, nq, d_lo - q0, diag_end - q0,
-                            buf + (d_lo - u0) * nq);
-  }
-  const Index m_lo = std::max(u0, q0 + nq);
-  if (m_lo < u1) {
-    pack_a_micro<T, MR>(Op::kConjTrans, a, m_lo, q0, u1 - m_lo, nq,
-                        buf + (m_lo - u0) * nq);
-  }
-}
 
-/// Symmetry-aware engine. Each parallel unit owns kHemmUnit output rows and
-/// sweeps the k blocks q in ascending order, one packed A panel and one
-/// macro-kernel call per block: per row the contributions are the mirrored
-/// products (q below the row's block), then the diagonal block, then the
-/// direct products, and the q == 0 store folds in beta. Row tiles start at
-/// multiples of MR from row 0 whatever the unit, so every element sees the
-/// same micro-kernel sequence on any thread.
+  /// Element (i, j), 0 <= i, j < n.
+  T at(Index i, Index j) const {
+    return packed_a_load<T, MR>(buf_.data() + panel_offset(i, j), j % NB,
+                                i % MR);
+  }
+
+  /// Overwrite the one stored slot of element (i, j); its mirror (j, i) is a
+  /// separate slot, so off the diagonal the caller keeps the pair Hermitian.
+  void set(Index i, Index j, T v) {
+    packed_a_store<T, MR>(buf_.data() + panel_offset(i, j), j % NB, i % MR,
+                          v);
+  }
+
+  /// Expand into full storage (both triangles) — the naive policy's input.
+  void unpack(MatrixView<T> full) const {
+    CHASE_CHECK_MSG(full.rows() == n_ && full.cols() == n_,
+                    "PackedHermitian: unpack shape");
+    for (Index j = 0; j < n_; ++j) {
+      for (Index i = 0; i < n_; ++i) full(i, j) = at(i, j);
+    }
+  }
+
+ private:
+  Index block_offset(Index u0, Index q0) const {
+    return u0 * n_ + round_up(std::min<Index>(UR, n_ - u0), MR) * q0;
+  }
+
+  /// Offset of the micro-panel holding element (i, j).
+  Index panel_offset(Index i, Index j) const {
+    const Index u0 = i - i % UR;
+    const Index q0 = j - j % NB;
+    const Index nq = std::min<Index>(NB, n_ - q0);
+    return block_offset(u0, q0) + (i - u0 - i % MR) * nq;
+  }
+
+  void resize(Index n) {
+    CHASE_CHECK_MSG(n >= 0, "PackedHermitian: negative order");
+    n_ = n;
+    const std::size_t need = size();
+    if (buf_.size() < need) {
+      buf_.resize(need);
+      advise_huge_pages(buf_.data(), buf_.size() * sizeof(T));
+    }
+  }
+
+  Index n_ = 0;
+  std::vector<T> buf_;  // grown to the largest order held, never shrunk
+};
+
+/// Symmetry-aware engine over a packed operand. Each parallel unit owns
+/// kHemmUnit output rows and sweeps the k blocks q in ascending order, one
+/// packed A panel run and one macro-kernel call per block: per row the
+/// contributions are the mirrored products (q below the row's block), then
+/// the diagonal block, then the direct products, and the q == 0 store folds
+/// in beta. Row tiles start at multiples of MR from row 0 whatever the unit,
+/// so every element sees the same micro-kernel sequence on any thread.
 template <typename T>
-void hemm_micro(T alpha, ConstMatrixView<T> a, ConstMatrixView<T> b, T beta,
-                MatrixView<T> c) {
+void hemm_micro(T alpha, const PackedHermitian<T>& a, ConstMatrixView<T> b,
+                T beta, MatrixView<T> c) {
   using Tile = MicroTile<T>;
   constexpr Index MR = Tile::mr;
   constexpr Index NR = Tile::nr;
@@ -127,22 +191,6 @@ void hemm_micro(T alpha, ConstMatrixView<T> a, ConstMatrixView<T> b, T beta,
   const Index ncols = c.cols();
   const Index nblocks = (n + NB - 1) / NB;
   const Index units = (n + UR - 1) / UR;
-
-  // With more than one B column panel, A's packed panels are cached across
-  // panels: the first jc panel packs every unit's rows x every k block once
-  // (unit u's run at u0 * n, k block q at round_up(nu, MR) * q0 inside it)
-  // and later panels replay them. gemm has to re-pack op(A) for every column
-  // panel; skipping that re-pack is where the Hermitian engine's measured
-  // advantage comes from (on top of needing only one triangle of A to be
-  // valid). The replay only pays where the micro-kernel does enough
-  // arithmetic per packed byte to hide the cold panel reads — complex types
-  // run four times the flops of real types per packed element, so they
-  // replay while real types re-pack through one small L2-hot buffer. A
-  // single column panel never replays either.
-  const bool cache_packs = kIsComplexScalar<T> && ncols > Tile::nc;
-  T* pcache = cache_packs
-                  ? pack_pool<T>().buf_a(std::size_t(round_up(n, MR)) * n)
-                  : nullptr;
 
   for (Index jc = 0; jc < ncols; jc += Tile::nc) {
     const Index nc = std::min<Index>(Tile::nc, ncols - jc);
@@ -156,19 +204,13 @@ void hemm_micro(T alpha, ConstMatrixView<T> a, ConstMatrixView<T> b, T beta,
       pack_b_micro<T, NR>(Op::kNoTrans, b, q0, jc, nq, nc, alpha,
                           pb + q0 * nc_pad);
     }
-    const bool pack_now = !cache_packs || jc == 0;
     parallel_units(units, [&](Index u) {
       const Index u0 = u * UR;
       const Index nu = std::min<Index>(UR, n - u0);
-      T* run = cache_packs
-                   ? pcache + u0 * n
-                   : pack_pool<T>().buf_a(std::size_t(round_up(UR, MR)) * NB);
       for (Index q = 0; q < nblocks; ++q) {
         const Index q0 = q * NB;
         const Index nq = std::min<Index>(NB, n - q0);
-        T* pa = cache_packs ? run + round_up(nu, MR) * q0 : run;
-        if (pack_now) pack_a_herm_rows<T, MR>(a, u0, nu, q0, nq, pa);
-        macro_kernel<T>(nu, nc, nq, pa, pb + q0 * nc_pad,
+        macro_kernel<T>(nu, nc, nq, a.block(u0, q0), pb + q0 * nc_pad,
                         c.data() + u0 + jc * c.ld(), c.ld(), beta,
                         /*first_panel=*/q == 0);
       }
@@ -176,23 +218,68 @@ void hemm_micro(T alpha, ConstMatrixView<T> a, ConstMatrixView<T> b, T beta,
   }
 }
 
+/// Shape checks shared by both hemm() entry points, plus the calls that
+/// never read A (empty output, alpha == 0). Returns true when the call is
+/// complete.
+template <typename T>
+bool hemm_trivial(Index n, T alpha, ConstMatrixView<T> b, T beta,
+                  MatrixView<T> c) {
+  CHASE_CHECK_MSG(b.rows() == n, "hemm: inner dimensions differ");
+  CHASE_CHECK_MSG(c.rows() == n && c.cols() == b.cols(),
+                  "hemm: output shape");
+  if (n == 0 || c.cols() == 0) return true;
+  if (alpha == T(0)) {
+    scale_tile(beta, n, c.cols(), c.data(), c.ld());
+    return true;
+  }
+  return false;
+}
+
+/// The micro engine plus its Tracker record.
+template <typename T>
+void hemm_micro_tracked(T alpha, const PackedHermitian<T>& a,
+                        ConstMatrixView<T> b, T beta, MatrixView<T> c) {
+  const bool tracked = perf::thread_tracker() != nullptr;
+  WallTimer timer;
+  hemm_micro(alpha, a, b, beta, c);
+  if (tracked) {
+    record_gemm_call("la.kernel.hemm.calls", sizeof(RealType<T>) == 4,
+                     gemm_flop_count<T>(a.rows(), c.cols(), a.rows()),
+                     timer.seconds());
+  }
+}
+
 }  // namespace detail
 
+using detail::PackedHermitian;
+
+/// C = alpha * A * B + beta * C with A Hermitian, held packed (see
+/// PackedHermitian). No call re-packs A.
+template <typename T>
+void hemm(T alpha, const PackedHermitian<T>& a, ConstMatrixView<T> b, T beta,
+          MatrixView<T> c) {
+  const Index n = a.rows();
+  if (detail::hemm_trivial(n, alpha, b, beta, c)) return;
+  if (gemm_kernel_for(scalar_tag<T>(), n, c.cols(), n) == GemmKernel::kNaive) {
+    // The oracle's speed does not matter: expand A for the plain engine.
+    Matrix<T> full(n, n);
+    a.unpack(full.view());
+    gemm(alpha, Op::kNoTrans, full.cview(), Op::kNoTrans, b, beta, c);
+    return;
+  }
+  detail::hemm_micro_tracked(alpha, a, b, beta, c);
+}
+
 /// C = alpha * A * B + beta * C with A Hermitian (full storage; under the
-/// micro policy only the upper triangle is read — see the header comment).
+/// micro policy only the upper triangle is read). Packs A into a per-thread
+/// scratch — grown to the largest A seen, never shrunk — on every call; a
+/// caller that applies one A repeatedly should hold a PackedHermitian.
 template <typename T>
 void hemm(T alpha, ConstMatrixView<T> a, ConstMatrixView<T> b, T beta,
           MatrixView<T> c) {
   const Index n = a.rows();
   CHASE_CHECK_MSG(a.cols() == n, "hemm: A must be square");
-  CHASE_CHECK_MSG(b.rows() == n, "hemm: inner dimensions differ");
-  CHASE_CHECK_MSG(c.rows() == n && c.cols() == b.cols(),
-                  "hemm: output shape");
-  if (n == 0 || c.cols() == 0) return;
-  if (alpha == T(0)) {
-    detail::scale_tile(beta, n, c.cols(), c.data(), c.ld());
-    return;
-  }
+  if (detail::hemm_trivial(n, alpha, b, beta, c)) return;
   if (gemm_kernel_for(scalar_tag<T>(), n, c.cols(), n) == GemmKernel::kNaive) {
     // The naive policy reads the full storage through the plain engine
     // (shape-aware, so a tuned profile routes small products the same way an
@@ -200,15 +287,9 @@ void hemm(T alpha, ConstMatrixView<T> a, ConstMatrixView<T> b, T beta,
     gemm(alpha, Op::kNoTrans, a, Op::kNoTrans, b, beta, c);
     return;
   }
-  const bool tracked = perf::thread_tracker() != nullptr;
-  WallTimer timer;
-  detail::hemm_micro(alpha, a, b, beta, c);
-  if (tracked) {
-    detail::record_gemm_call("la.kernel.hemm.calls",
-                             sizeof(RealType<T>) == 4,
-                             detail::gemm_flop_count<T>(n, c.cols(), n),
-                             timer.seconds());
-  }
+  thread_local PackedHermitian<T> packed;
+  packed.fill(n, [&](Index i, Index j) { return a(i, j); });
+  detail::hemm_micro_tracked(alpha, packed, b, beta, c);
 }
 
 }  // namespace chase::la

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <complex>
+#include <cstring>
+#include <vector>
 
 #include "dist/multivector.hpp"
+#include "la/convert.hpp"
 #include "la/norms.hpp"
 #include "tests/testing.hpp"
 
@@ -148,7 +153,119 @@ TEST_P(DistMatrixGrid, ShiftDiagonalMatchesGlobalShift) {
     hexp.fill([&](Index i, Index j) {
       return h(i, j) + (i == j ? T(-1.5) : T(0));
     });
-    EXPECT_LE(la::max_abs_diff(hd.local().as_const(), hexp.local().as_const()), tol<T>());
+    double diff = 0;
+    for (Index j = 0; j < hd.local_cols(); ++j) {
+      for (Index i = 0; i < hd.local_rows(); ++i) {
+        diff = std::max(diff,
+                        std::abs(hd.local_at(i, j) - hexp.local_at(i, j)));
+      }
+    }
+    EXPECT_LE(diff, tol<T>());
+  });
+}
+
+/// True when every local element of `x` and `y` is bitwise equal (packed
+/// ranks compare their whole buffer, padding included).
+template <typename T>
+bool same_local_bytes(const DistHermitianMatrix<T>& x,
+                      const DistHermitianMatrix<T>& y) {
+  if (x.local_packed() != y.local_packed()) return false;
+  if (x.local_packed()) {
+    return x.packed().size() == y.packed().size() &&
+           std::memcmp(x.packed().data(), y.packed().data(),
+                       sizeof(T) * x.packed().size()) == 0;
+  }
+  for (Index j = 0; j < x.local_cols(); ++j) {
+    for (Index i = 0; i < x.local_rows(); ++i) {
+      const T a = x.local_at(i, j);
+      const T b = y.local_at(i, j);
+      if (std::memcmp(&a, &b, sizeof(T)) != 0) return false;
+    }
+  }
+  return true;
+}
+
+TEST_P(DistMatrixGrid, ShiftPairRestoresStoredBytes) {
+  using T = std::complex<double>;
+  const auto gc = GetParam();
+  const Index n = 37;
+  auto h = random_hermitian<T>(n, 12);
+
+  comm::Team team(gc.nprow * gc.npcol);
+  team.run([&](comm::Communicator& world) {
+    comm::Grid2d grid(world, gc.nprow, gc.npcol);
+    auto rmap = make_map(n, gc.nprow, gc);
+    auto cmap = make_map(n, gc.npcol, gc);
+    DistHermitianMatrix<T> hd(grid, rmap, cmap);
+    hd.fill_from_global(h.cview());
+    DistHermitianMatrix<T> pristine(grid, rmap, cmap);
+    pristine.fill_from_global(h.cview());
+    // (d - c) + c != d in the last ulp for these values; the pristine +
+    // shift rule must restore the stored bytes anyway.
+    hd.shift_diagonal(-0.7303);
+    hd.shift_diagonal(0.7303);
+    EXPECT_TRUE(same_local_bytes(hd, pristine));
+  });
+}
+
+TEST_P(DistMatrixGrid, RefillLeavesNothingOfThePreviousMatrix) {
+  // The service reuses one operator per (n, ne) bucket: a refill must give
+  // the bytes of a fresh fill, whatever the previous matrix and shift were.
+  using T = std::complex<double>;
+  const auto gc = GetParam();
+  const Index n = 37;
+  auto h1 = random_hermitian<T>(n, 13);
+  auto h2 = random_hermitian<T>(n, 14);
+
+  comm::Team team(gc.nprow * gc.npcol);
+  team.run([&](comm::Communicator& world) {
+    comm::Grid2d grid(world, gc.nprow, gc.npcol);
+    auto rmap = make_map(n, gc.nprow, gc);
+    auto cmap = make_map(n, gc.npcol, gc);
+    DistHermitianMatrix<T> reused(grid, rmap, cmap);
+    reused.fill_from_global(h1.cview());
+    reused.shift_diagonal(-1.25);
+    reused.fill_from_global(h2.cview());
+    DistHermitianMatrix<T> fresh(grid, rmap, cmap);
+    fresh.fill_from_global(h2.cview());
+    EXPECT_TRUE(same_local_bytes(reused, fresh));
+    // And the shift state was reset with it.
+    reused.shift_diagonal(0.5);
+    fresh.shift_diagonal(0.5);
+    EXPECT_TRUE(same_local_bytes(reused, fresh));
+  });
+}
+
+TEST_P(DistMatrixGrid, MixedShadowIsTheDemotedGlobalBlock) {
+  using T = std::complex<double>;
+  using L = std::complex<float>;
+  const auto gc = GetParam();
+  const Index n = 41;
+  auto h = random_hermitian<T>(n, 15);
+  la::Matrix<L> hlow(n, n);
+  la::demote<T>(h.cview(), hlow.view());
+
+  comm::Team team(gc.nprow * gc.npcol);
+  team.run([&](comm::Communicator& world) {
+    comm::Grid2d grid(world, gc.nprow, gc.npcol);
+    auto rmap = make_map(n, gc.nprow, gc);
+    auto cmap = make_map(n, gc.npcol, gc);
+    DistHermitianMatrix<T> hd(grid, rmap, cmap);
+    hd.fill_from_global(h.cview());
+    DistHermitianMatrix<L> shadow(grid, rmap, cmap);
+    shadow.fill_demoted(hd);
+    EXPECT_EQ(shadow.local_packed(), hd.local_packed());
+    int mismatches = 0;
+    for (Index j = 0; j < shadow.local_cols(); ++j) {
+      const Index gj = cmap.global_index(grid.my_col(), j);
+      for (Index i = 0; i < shadow.local_rows(); ++i) {
+        const Index gi = rmap.global_index(grid.my_row(), i);
+        const L got = shadow.local_at(i, j);
+        const L want = hlow(gi, gj);
+        if (std::memcmp(&got, &want, sizeof(L)) != 0) ++mismatches;
+      }
+    }
+    EXPECT_EQ(mismatches, 0);
   });
 }
 
@@ -202,6 +319,40 @@ INSTANTIATE_TEST_SUITE_P(Grids, DistMatrixGrid, ::testing::ValuesIn(kGridCases),
                                   (gc.cyclic ? "_cyclic" + std::to_string(gc.block)
                                              : "_block");
                          });
+
+TEST(DistMatrix, HermitianRanksHoldOnlyThePackedBlock) {
+  // 1x1: the whole matrix; 2x2 block maps: the two diagonal ranks. Each
+  // holds one round_up(n, MR) * n packed buffer and no plain block; the
+  // off-diagonal ranks hold only their plain rows x cols block.
+  using T = std::complex<double>;
+  constexpr Index mr = la::detail::MicroTile<T>::mr;
+  const Index n = 37;
+  auto h = random_hermitian<T>(n, 16);
+  for (int p : {1, 2}) {
+    std::atomic<int> packed_ranks{0};
+    comm::Team team(p * p);
+    team.run([&](comm::Communicator& world) {
+      comm::Grid2d grid(world, p, p);
+      auto map = IndexMap::block(n, p);
+      DistHermitianMatrix<T> hd(grid, map, map);
+      hd.fill_from_global(h.cview());
+      const Index rows = hd.local_rows();
+      const Index cols = hd.local_cols();
+      EXPECT_EQ(hd.local_packed(), grid.my_row() == grid.my_col());
+      if (hd.local_packed()) ++packed_ranks;
+      if (hd.local_packed()) {
+        EXPECT_EQ(rows, cols);
+        EXPECT_EQ(hd.packed().size(),
+                  std::size_t(la::detail::round_up(rows, mr) * rows));
+        EXPECT_EQ(hd.local_storage(), hd.packed().size());
+      } else {
+        EXPECT_EQ(hd.packed().size(), 0u);
+        EXPECT_EQ(hd.local_storage(), std::size_t(rows * cols));
+      }
+    });
+    EXPECT_EQ(packed_ranks.load(), p) << p << "x" << p;
+  }
+}
 
 TEST(DistMatrix, SingleBroadcastOnSquareGridBlockMap) {
   // The paper's claim: on a square grid one broadcast suffices for the

@@ -2,8 +2,9 @@
 // TRSM cut their output rows into units that any thread may run, so a call
 // spread over 2, 3 or 4 cores must produce the very bytes of the 1-core
 // call. The sweep covers every register-tile / k-block edge the engine
-// special-cases, one and many B column panels (the complex pack-replay
-// cache), every op pair, and the alpha == 0 / beta scaling paths. The core
+// special-cases, one and many B column panels, every op pair, and the
+// alpha == 0 / beta scaling paths; hemm on a packed operand must give the
+// bytes of the plain-operand call at any share and column split. The core
 // share tests pin how the per-thread share is derived.
 #include <gtest/gtest.h>
 
@@ -118,6 +119,71 @@ TYPED_TEST(ParallelRowsTyped, HemmIsBitwiseShareInvariant) {
             },
             "hemm n=" + std::to_string(n) + " ncols=" + std::to_string(ncols) +
                 " scalars=" + std::to_string(s));
+      }
+      ++combo;
+    }
+  }
+}
+
+TYPED_TEST(ParallelRowsTyped, PackedHemmMatchesPlainOperandHemm) {
+  // A packed operand built once gives the bytes of the plain-operand hemm
+  // (which packs into its scratch on every call) at shares 1 and 4, and with
+  // B's columns split into blocks. Every element reads back through at(),
+  // whose offset arithmetic is independent of fill's panel walk.
+  using T = TypeParam;
+  using R = RealType<T>;
+  const T betas[] = {T(0), T(1), T(R(-0.5))};
+  const T alpha = T(R(0.75));
+  int combo = 0;
+  for (Index n : sweep_rows<T>()) {
+    const auto a = random_hermitian<T>(n, 40 + std::uint64_t(n));
+    PackedHermitian<T> packed;
+    packed.fill(n, [&](Index i, Index j) { return a(i, j); });
+    constexpr Index mr = detail::MicroTile<T>::mr;
+    ASSERT_EQ(packed.size(), std::size_t(detail::round_up(n, mr) * n));
+    int misplaced = 0;
+    for (Index j = 0; j < n; ++j) {
+      for (Index i = 0; i < n; ++i) {
+        const T got = packed.at(i, j);
+        const T want = a(i, j);
+        if (std::memcmp(&got, &want, sizeof(T)) != 0) ++misplaced;
+      }
+    }
+    ASSERT_EQ(misplaced, 0) << "n=" << n;
+    for (Index ncols : sweep_cols<T>()) {
+      const auto b = random_matrix<T>(n, ncols, 60 + combo);
+      const auto c0 = random_matrix<T>(n, ncols, 70 + combo);
+      for (std::size_t s = 0; s < std::size(betas); ++s) {
+        if (n == 1000 && s != std::size_t(combo) % std::size(betas)) continue;
+        const T beta = betas[s];
+        const std::string what = "n=" + std::to_string(n) +
+                                 " ncols=" + std::to_string(ncols) +
+                                 " beta=" + std::to_string(s);
+        auto plain = clone(c0.cview());
+        {
+          const ScopedCoreShare one(1);
+          hemm(alpha, a.cview(), b.cview(), beta, plain.view());
+        }
+        for (int share : {1, 4}) {
+          const ScopedCoreShare scoped(share);
+          auto c = clone(c0.cview());
+          hemm(alpha, packed, b.cview(), beta, c.view());
+          EXPECT_TRUE(same_bytes(c.cview(), plain.cview()))
+              << what << " share=" << share;
+          // Column blocks of 1, then of a third of the columns: hemm is
+          // column-split invariant (the dist overlap pipeline relies on it).
+          for (Index bw : {Index(1), std::max<Index>(1, ncols / 3)}) {
+            if (ncols > 64 && bw == 1) continue;
+            auto split = clone(c0.cview());
+            for (Index j0 = 0; j0 < ncols; j0 += bw) {
+              const Index w = std::min(bw, ncols - j0);
+              hemm(alpha, packed, b.cview().block(0, j0, n, w), beta,
+                   split.view().block(0, j0, n, w));
+            }
+            EXPECT_TRUE(same_bytes(split.cview(), plain.cview()))
+                << what << " share=" << share << " block=" << bw;
+          }
+        }
       }
       ++combo;
     }
