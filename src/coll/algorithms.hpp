@@ -2,9 +2,10 @@
 //
 // Every algorithm is a CollOp state machine templated on the communicator
 // type (so this header never needs comm/communicator.hpp — the dispatch
-// glue in coll/dispatch.hpp instantiates them with comm::Communicator). The
-// required Comm surface: rank(), size(), send_chunk(), try_recv_chunk(),
-// inbox_arrivals(), wait_new_arrival().
+// glue in coll/dispatch.hpp instantiates them with comm::Communicator and
+// runs each to completion with wait()). The required Comm surface: rank(),
+// size(), send_chunk(), try_recv_chunk(), inbox_arrivals(),
+// wait_new_arrival().
 //
 // Determinism contract: the naive reference folds contributions in rank
 // order 0..P-1, and the filter/QR stacks rely on every rank seeing the
@@ -38,7 +39,6 @@
 #include <string>
 #include <vector>
 
-#include "coll/request.hpp"
 #include "comm/reduction.hpp"
 #include "common/check.hpp"
 #include "la/matrix.hpp"
@@ -59,6 +59,24 @@ inline std::uint64_t make_tag(std::uint64_t seq, unsigned phase, unsigned step,
 }
 
 }  // namespace detail
+
+/// A collective as a poll-driven state machine over the chunk channels:
+/// progress() advances it as far as the already-arrived chunks allow and
+/// reports completion; wait() blocks (with the team's poisoned-error/watchdog
+/// semantics) until done. Completion is purely local — every expected chunk
+/// received and every outgoing chunk pushed — so a finished rank never needs
+/// to keep progressing on behalf of its peers.
+class CollOp {
+ public:
+  virtual ~CollOp() = default;
+
+  /// Advance as far as possible without blocking; true once complete.
+  /// Idempotent after completion.
+  virtual bool progress() = 0;
+
+  /// Block until complete (poison-aware; may throw TeamAborted).
+  virtual void wait() = 0;
+};
 
 /// Common machinery: blocking wait over progress(), and per-algorithm
 /// bytes/steps accounting flushed to the thread tracker on completion.

@@ -3,10 +3,9 @@
 // (which owns the class definition and the naive publish-and-sync bodies);
 // everything here routes one call to either the naive reference or a chunk
 // channel algorithm, wrapped in the same perf accounting and fault-injection
-// hooks either way. This is the only path a collective takes: the blocking
-// entry points run the channel op to completion inside a perf bracket, the
-// nonblocking i_* ones hand it to a CollRequest (the v1.4 overlap), and both
-// build it through the per-kind factories below.
+// hooks either way. This is the only path a collective takes: every entry
+// point builds its channel op through the per-kind factories below and runs
+// it to completion (wait()) inside a perf bracket.
 #pragma once
 
 #ifndef CHASE_COMM_COMMUNICATOR_INCLUDED
@@ -100,14 +99,6 @@ std::unique_ptr<coll::CollOp> all_gather_op(const Communicator& c,
       c, send, recv, std::move(counts), std::move(displs), ce, seq);
 }
 
-/// Hand a started channel op to the caller; `on_done` applies the
-/// completion-time effects once, however the request is finished.
-template <typename Fn>
-coll::CollRequest request_of(std::unique_ptr<coll::CollOp> op, Fn on_done) {
-  return coll::CollRequest(std::make_unique<coll::WithCompletion<Fn>>(
-      std::move(op), std::move(on_done)));
-}
-
 }  // namespace detail
 
 template <typename T>
@@ -132,8 +123,7 @@ void Communicator::all_reduce(T* data, Index count, Reduction op) const {
   detail::corrupt_reduced(data, count);
   coll::account_phases(
       perf::thread_tracker(), backend_,
-      detail::phases_of(*this, perf::CollKind::kAllReduce, algo, bytes, bytes),
-      /*bracketed=*/true);
+      detail::phases_of(*this, perf::CollKind::kAllReduce, algo, bytes, bytes));
 }
 
 template <typename T>
@@ -155,8 +145,7 @@ void Communicator::broadcast(T* data, Index count, int root) const {
   }
   coll::account_phases(
       perf::thread_tracker(), backend_,
-      detail::phases_of(*this, perf::CollKind::kBroadcast, algo, bytes, bytes),
-      /*bracketed=*/true);
+      detail::phases_of(*this, perf::CollKind::kBroadcast, algo, bytes, bytes));
 }
 
 template <typename T>
@@ -221,8 +210,7 @@ void Communicator::all_gather_dispatch(const T* send, Index count, T* recv,
     }
     coll::account_phases(perf::thread_tracker(), backend_,
                          detail::phases_of(*this, perf::CollKind::kAllGather,
-                                           algo, total_bytes, local_bytes),
-                         /*bracketed=*/true);
+                                           algo, total_bytes, local_bytes));
     return;
   }
   // Bruck needs uniform blocks; the variable-count case rides the ring.
@@ -237,67 +225,7 @@ void Communicator::all_gather_dispatch(const T* send, Index count, T* recv,
   }
   coll::account_phases(perf::thread_tracker(), backend_,
                        detail::phases_of(*this, perf::CollKind::kAllGather,
-                                         algo, total_bytes, local_bytes),
-                       /*bracketed=*/true);
-}
-
-template <typename T>
-coll::CollRequest Communicator::i_all_reduce(T* data, Index count,
-                                             Reduction op) const {
-  const std::size_t bytes = std::size_t(std::max<Index>(count, 0)) * sizeof(T);
-  const perf::CollAlgo algo =
-      size() == 1 || count <= 0
-          ? perf::CollAlgo::kNaiveAlgo
-          : coll::select(perf::CollKind::kAllReduce, bytes, size(), backend_,
-                         topo_info());
-  if (algo == perf::CollAlgo::kNaiveAlgo) {
-    // No channel algorithm to run asynchronously — complete eagerly (the
-    // naive path is one blocking publish-and-sync anyway).
-    all_reduce(data, count, op);
-    return {};
-  }
-  fault::check("rank.die");
-  return detail::request_of(
-      detail::all_reduce_op(*this, algo, data, count, op,
-                            next_collective_seq()),
-      [this, data, count,
-       phases = detail::phases_of(*this, perf::CollKind::kAllReduce, algo,
-                                  bytes, bytes)] {
-        detail::corrupt_reduced(data, count);
-        coll::account_phases(perf::thread_tracker(), backend_, phases,
-                             /*bracketed=*/false);
-      });
-}
-
-template <typename T>
-coll::CollRequest Communicator::i_all_gather(const T* send, Index count,
-                                             T* recv) const {
-  const std::size_t local_bytes = std::size_t(std::max<Index>(count, 0)) *
-                                  sizeof(T);
-  const std::size_t total_bytes = std::size_t(size()) * local_bytes;
-  // Flat selection on purpose: the hierarchical allgather is a blocking
-  // composite over sub-communicators, not a single poll-driven CollOp, so
-  // the nonblocking path keeps the flat candidates.
-  const perf::CollAlgo algo =
-      size() == 1 || count <= 0
-          ? perf::CollAlgo::kNaiveAlgo
-          : coll::select(perf::CollKind::kAllGather, total_bytes, size(),
-                         backend_);
-  if (algo == perf::CollAlgo::kNaiveAlgo) {
-    all_gather(send, count, recv);
-    return {};
-  }
-  fault::check("rank.die");
-  return detail::request_of(
-      detail::all_gather_op(*this, algo, send, count, recv,
-                            std::vector<Index>(std::size_t(size()), count),
-                            detail::packed_displs(size(), count),
-                            next_collective_seq()),
-      [this, phases = detail::phases_of(*this, perf::CollKind::kAllGather,
-                                        algo, total_bytes, local_bytes)] {
-        coll::account_phases(perf::thread_tracker(), backend_, phases,
-                             /*bracketed=*/false);
-      });
+                                         algo, total_bytes, local_bytes));
 }
 
 }  // namespace chase::comm

@@ -51,8 +51,6 @@ std::size_t chunk_bytes() {
   return kDefaultChunkBytes;
 }
 
-bool overlap_enabled() { return algorithm() == Algorithm::kAuto; }
-
 perf::CollAlgo select(perf::CollKind kind, std::size_t bytes, int nranks,
                       perf::Backend backend) {
   return select(kind, bytes, nranks, backend, perf::TopoInfo{});
@@ -138,15 +136,13 @@ std::vector<CollPhase> hier_phases(perf::CollKind kind, std::size_t bytes,
 }
 
 void account_phases(perf::Tracker* t, perf::Backend backend,
-                    std::span<const CollPhase> phases, bool bracketed) {
+                    std::span<const CollPhase> phases) {
   if (t == nullptr) return;
   const bool staged = backend == perf::Backend::kStdGpu;
-  bool close_bracket = bracketed;
   for (const auto& p : phases) {
     if (staged) t->record_memcpy(p.local, /*to_device=*/false);
-    if (close_bracket) {
+    if (&p == phases.data()) {
       t->end_collective(p.kind, p.bytes, p.nranks);
-      close_bracket = false;
     } else {
       t->record_collective(p.kind, p.bytes, p.nranks);
     }

@@ -11,8 +11,7 @@
 //
 // `auto` picks per call by minimizing the extended alpha-beta-gamma cost
 // model (perf::coll_algo_seconds) over the available routines — the
-// in-process analogue of NCCL's protocol/algorithm autotuner — and is also
-// the switch that arms the nonblocking overlap path in dist/core. With a
+// in-process analogue of NCCL's protocol/algorithm autotuner. With a
 // grouped topology (CHASE_TOPO, src/comm/topology.hpp) the selection runs
 // the per-link-class overload, so `auto` chooses the two-level hierarchical
 // routines exactly when the slow cross-group links make them win.
@@ -65,11 +64,6 @@ class ScopedChunkBytes : public policy::Scoped {
       : Scoped(chunk_knob, bytes == 0 ? 1 : (long long)bytes) {}
 };
 
-/// True when the nonblocking overlap pipeline (dist_matrix::apply_impl
-/// splitting the HEMM into column blocks and overlapping block k+1's compute
-/// with block k's reduction) should run: policy auto.
-bool overlap_enabled();
-
 /// Pick the routine for one collective call of `kind`: kNaiveAlgo is the
 /// publish-and-sync reference, anything else names the channel algorithm
 /// the dispatcher runs (kRingAlgo is the ordered ring for allreduce and the
@@ -106,15 +100,13 @@ std::vector<CollPhase> hier_phases(perf::CollKind kind, std::size_t bytes,
                                    int nranks, const perf::TopoInfo& topo);
 
 /// Record `phases` on `t` (no-op when null) — the one accounting path of
-/// every collective, blocking or not. When `bracketed`, the first phase
-/// closes the begin_collective() bracket the caller opened
-/// (end_collective); the remaining phases, and all phases of a nonblocking
-/// completion, are plain record_collective() events: overlapped progress
-/// time stays in the compute bucket. On the STD backend each phase
-/// additionally stages its payload over PCIe (D2H of the local share
-/// before, H2D of the whole payload after), mirroring what a host-staged
-/// collective really moves (Section 3.3).
+/// every collective. The first phase closes the begin_collective() bracket
+/// the caller opened (end_collective); the later phases of a two-level
+/// routine follow it as plain record_collective() events. On the STD
+/// backend each phase additionally stages its payload over PCIe (D2H of the
+/// local share before, H2D of the whole payload after), mirroring what a
+/// host-staged collective really moves (Section 3.3).
 void account_phases(perf::Tracker* t, perf::Backend backend,
-                    std::span<const CollPhase> phases, bool bracketed);
+                    std::span<const CollPhase> phases);
 
 }  // namespace chase::coll

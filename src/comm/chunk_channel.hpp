@@ -40,7 +40,7 @@ struct Mailbox {
   std::condition_variable cv;
   std::vector<std::deque<Chunk>> from;  // indexed by source rank
   // Bumped on every push; Communicator::wait_new_arrival sleeps on it so
-  // nonblocking requests can wait without busy-spinning.
+  // a channel op's wait() does not busy-spin.
   std::uint64_t arrivals = 0;
 };
 

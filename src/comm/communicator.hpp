@@ -14,8 +14,7 @@
 //    binomial over chunked point-to-point channels, see chunk_channel.hpp),
 //    standing in for NCCL's pipelined algorithms. The CHASE_COLL_ALGO policy
 //    (coll/engine.hpp) picks per call; every algorithm is bitwise-identical
-//    to the naive reference. Nonblocking i_all_reduce / i_all_gather return
-//    a coll::CollRequest so callers can overlap communication with compute.
+//    to the naive reference. Every collective is blocking.
 //
 // The Backend tag reproduces the paper's three communication variants:
 //  - kHostMpi: buffers live on the host, plain MPI collectives
@@ -56,7 +55,6 @@
 #include <vector>
 
 #include "coll/engine.hpp"
-#include "coll/request.hpp"
 #include "comm/chunk_channel.hpp"
 #include "comm/rank_error.hpp"
 #include "comm/reduction.hpp"
@@ -197,18 +195,6 @@ class Communicator {
                     const std::vector<Index>& counts,
                     const std::vector<Index>& displs) const;
 
-  /// Nonblocking allreduce: returns immediately with a CollRequest; the
-  /// reduction completes during test()/wait() calls (poll-driven progress
-  /// over the chunk channels — there is no progress thread). Under the
-  /// naive policy (or trivial teams/payloads) it completes eagerly.
-  template <typename T>
-  coll::CollRequest i_all_reduce(T* data, Index count,
-                                 Reduction op = Reduction::kSum) const;
-
-  /// Nonblocking equal-count allgather; same contract as i_all_reduce.
-  template <typename T>
-  coll::CollRequest i_all_gather(const T* send, Index count, T* recv) const;
-
   /// Collective: partitions ranks by color; ranks sharing a color form a new
   /// communicator ordered by (key, old rank). Every rank must call.
   Communicator split(int color, int key) const;
@@ -303,8 +289,8 @@ class Communicator {
   /// arrived (see CommState::quiesce_wait).
   void sync_quiesce() const { state_->quiesce_wait(rank_); }
 
-  /// Opens the perf bracket of a blocking collective; the body closes it
-  /// with coll::account_phases(..., /*bracketed=*/true).
+  /// Opens the perf bracket of a collective; the body closes it with
+  /// coll::account_phases.
   void account_begin() const;
   /// Closes the bracket of a naive (single-event) collective. `bytes` is
   /// the *total* payload the collective moves (per-rank payload for
@@ -314,8 +300,7 @@ class Communicator {
   void account_naive(perf::CollKind kind, std::size_t bytes,
                      std::size_t local_bytes) const {
     const coll::CollPhase phase{kind, bytes, size(), local_bytes};
-    coll::account_phases(perf::thread_tracker(), backend_, {&phase, 1},
-                         /*bracketed=*/true);
+    coll::account_phases(perf::thread_tracker(), backend_, {&phase, 1});
   }
 
   /// Shared body of all_gather / all_gather_v once the team has more than

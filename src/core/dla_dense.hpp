@@ -3,11 +3,10 @@
 // DenseDlaBackend — the paper's v1.4 parallelization: distributed 1D-CAQR
 // over the column communicator, Rayleigh-Ritz as a local Gram product plus
 // a row-communicator allreduce, distributed residuals. It wraps today's
-// la/qr/dist/comm substrate, so the PR-3 HEMM routing on diagonal ranks and
-// the PR-2 nonblocking-collective overlap inside apply_c2b come along for
-// free. Works for any operator with the DistHermitianMatrix duck type,
-// including matrix-free operators (whose gather buffer it binds to the
-// workspace arena).
+// la/qr/dist/comm substrate, so the packed HEMM on diagonal ranks comes
+// along for free. Works for any operator with the DistHermitianMatrix duck
+// type, including matrix-free operators (whose gather buffer it binds to
+// the workspace arena).
 //
 // RedundantDlaBackend — the legacy v1.2 "LMS" scheme as a backend: QR,
 // Rayleigh-Ritz and residuals run redundantly on every rank over gathered

@@ -15,13 +15,8 @@
 // sorting the active columns by degree ascending and shrinking the processed
 // column range as degrees complete.
 //
-// Communication/compute overlap (the v1.4 scheme): under
-// CHASE_COLL_ALGO=auto every apply_c2b/apply_b2c below splits its HEMM into
-// column blocks and overlaps the nonblocking allreduce of block k with the
-// multiply of block k+1 (dist_matrix.hpp apply_impl, i_all_reduce of
-// src/coll). The result is bitwise-identical to the blocking path, so the
-// filter needs no changes — the per-apply "coll.overlap.blocks" counter
-// records how often the pipeline engaged.
+// Every apply_c2b/apply_b2c below is one local multiply followed by one
+// allreduce of the whole partial product (dist_matrix.hpp apply_impl).
 //
 // The local multiply inside every apply runs the CHASE_GEMM_KERNEL policy
 // engine (src/la/gemm.hpp): diagonal ranks of the grid hold their Hermitian
@@ -29,11 +24,11 @@
 // triangle when H is filled, so no apply re-packs H (the diagonal shift
 // below rewrites the n packed diagonal entries); off-diagonal ranks run the
 // register-tiled gemm, which packs their plain block per call. Both engines
-// are column-split invariant, which is what keeps the overlap pipeline's
-// result bitwise stable, and both split their output rows across the idle
-// cores of the rank's core share (la/parallel.hpp: all cores for a 1x1
-// solve, cpus / nranks per rank of a Team) with bitwise-identical results
-// for any number of threads.
+// are column-split invariant, which is what keeps a lockstep Lanczos run
+// (core/lanczos.hpp) bitwise equal alone and inside the block, and both
+// split their output rows across the idle cores of the rank's core share
+// (la/parallel.hpp: all cores for a 1x1 solve, cpus / nranks per rank of a
+// Team) with bitwise-identical results for any number of threads.
 #pragma once
 
 #include <algorithm>

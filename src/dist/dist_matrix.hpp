@@ -29,8 +29,6 @@
 #include <vector>
 
 #include "coll/abft.hpp"
-#include "coll/engine.hpp"
-#include "coll/request.hpp"
 #include "comm/communicator.hpp"
 #include "dist/index_map.hpp"
 #include "la/convert.hpp"
@@ -246,85 +244,34 @@ class DistHermitianMatrix {
     const perf::FlopClass flop_class = sizeof(RealType<T>) == 4
                                            ? perf::FlopClass::kGemmSingle
                                            : perf::FlopClass::kGemm;
-    const auto write_back = [&](Index j0, Index bn) {
-      for (Index j = j0; j < j0 + bn; ++j) {
-        T* yj = y.col(j);
-        const T* pj = partial.col(j);
-        if (beta == T(0)) {
-          for (Index i = 0; i < out_rows; ++i) yj[i] = pj[i];
-        } else {
-          for (Index i = 0; i < out_rows; ++i) yj[i] = pj[i] + beta * yj[i];
-        }
-      }
-    };
-
-    // Local multiply for one column block. Packed ranks dispatch to la::hemm
-    // on the packed block — it is Hermitian, so H_loc^H == H_loc serves both
-    // apply directions with no re-pack; plain ranks run the policy-selected
-    // gemm, which packs op(H_loc) per call.
-    const auto multiply = [&](la::ConstMatrixView<T> xin,
-                              la::MatrixView<T> out) {
-      if (local_hermitian_) {
-        la::hemm(alpha, packed_, xin, T(0), out);
-      } else {
-        la::gemm(alpha, op, local_.view().as_const(), la::Op::kNoTrans, xin,
-                 T(0), out);
-      }
-    };
-
-    // Overlap pipeline (v1.4 scheme, armed by CHASE_COLL_ALGO=auto): split
-    // the HEMM into column blocks and run block k's allreduce while block
-    // k+1 multiplies. Bitwise-safe: both the gemm and the hemm engines
-    // compute each output column with a fixed k-loop order regardless of how
-    // columns are grouped, and per-column reductions are independent.
-    // ABFT forces the synchronous path: the checksum lane must ride next to
-    // the full payload, and replaying an in-flight overlapped block would
-    // tangle with the pipeline's outstanding requests.
-    const bool abft = coll::abft_enabled();
-    const Index nblk = abft || !coll::overlap_enabled() ||
-                               reduce_comm.size() <= 1 || ncols <= 1
-                           ? 1
-                           : std::min<Index>(ncols, 4);
-    if (nblk <= 1) {
-      multiply(x, partial);
-      if (auto* t = perf::thread_tracker()) {
-        t->add_flops(flop_class, flop_mul * double(ncols));
-      }
-      if (abft) {
-        coll::checked_block_reduce(reduce_comm, partial);
-      } else {
-        reduce_comm.all_reduce(partial.data(), out_rows * ncols);
-      }
-      write_back(0, ncols);
-      return;
+    // Packed ranks dispatch to la::hemm on the packed block — it is
+    // Hermitian, so H_loc^H == H_loc serves both apply directions with no
+    // re-pack; plain ranks run the policy-selected gemm, which packs
+    // op(H_loc) per call. One local multiply, then one reduction of the
+    // whole partial product (the v1.4 scheme: H is never redistributed).
+    if (local_hermitian_) {
+      la::hemm(alpha, packed_, x, T(0), partial);
+    } else {
+      la::gemm(alpha, op, local_.view().as_const(), la::Op::kNoTrans, x, T(0),
+               partial);
     }
-    const Index bcols = (ncols + nblk - 1) / nblk;
-    coll::CollRequest pending;
-    Index pj0 = 0;
-    Index pbn = 0;
-    for (Index j0 = 0; j0 < ncols; j0 += bcols) {
-      const Index bn = std::min(bcols, ncols - j0);
-      auto pblk = ws.block(0, j0, out_rows, bn);
-      multiply(x.block(0, j0, x.rows(), bn), pblk);
-      if (auto* t = perf::thread_tracker()) {
-        t->add_flops(flop_class, flop_mul * double(bn));
-      }
-      // Start this block's reduction; a block whose routine has no channel
-      // op (naive) completes eagerly instead.
-      coll::CollRequest req =
-          reduce_comm.i_all_reduce(pblk.data(), out_rows * bn);
-      if (pbn > 0) {
-        pending.wait();
-        write_back(pj0, pbn);
-      }
-      pending = std::move(req);
-      pj0 = j0;
-      pbn = bn;
+    if (auto* t = perf::thread_tracker()) {
+      t->add_flops(flop_class, flop_mul * double(ncols));
     }
-    pending.wait();
-    write_back(pj0, pbn);
-    perf::bump_counter("coll.overlap.blocks",
-                       double((ncols + bcols - 1) / bcols));
+    if (coll::abft_enabled()) {
+      coll::checked_block_reduce(reduce_comm, partial);
+    } else {
+      reduce_comm.all_reduce(partial.data(), out_rows * ncols);
+    }
+    for (Index j = 0; j < ncols; ++j) {
+      T* yj = y.col(j);
+      const T* pj = partial.col(j);
+      if (beta == T(0)) {
+        for (Index i = 0; i < out_rows; ++i) yj[i] = pj[i];
+      } else {
+        for (Index i = 0; i < out_rows; ++i) yj[i] = pj[i] + beta * yj[i];
+      }
+    }
   }
 
   const comm::Grid2d* grid_;

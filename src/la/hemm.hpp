@@ -21,7 +21,7 @@
 // the same macro-kernel as gemm, with register tiles starting at multiples
 // of MR from row 0, so results are bitwise independent of how many threads
 // share the rows and of how B's columns are split — the property the
-// dist-layer overlap pipeline relies on. (Equality with gemm() on an exactly
+// lockstep Lanczos runs rely on. (Equality with gemm() on an exactly
 // Hermitian operand holds to rounding, not bitwise: the compiler may
 // contract the complex multiply-accumulates differently in the two inlined
 // instantiations.)

@@ -62,8 +62,8 @@ struct ModelComm {
     if (coll::select(kind, bytes, nranks, backend, topo) ==
         perf::CollAlgo::kHierAlgo) {
       t.begin_collective();
-      coll::account_phases(&t, backend, coll::hier_phases(kind, bytes, nranks, topo),
-                           /*bracketed=*/true);
+      coll::account_phases(&t, backend,
+                           coll::hier_phases(kind, bytes, nranks, topo));
       return;
     }
     if (backend == Backend::kStdGpu) t.record_memcpy(bytes, false);
@@ -91,8 +91,7 @@ struct ModelComm {
       t.begin_collective();
       coll::account_phases(
           &t, backend,
-          coll::hier_phases(CollKind::kAllGather, total, nranks, topo),
-          /*bracketed=*/true);
+          coll::hier_phases(CollKind::kAllGather, total, nranks, topo));
       return;
     }
     if (backend == Backend::kStdGpu) t.record_memcpy(local_bytes, false);

@@ -117,10 +117,9 @@ class Tracker {
   void end_collective(CollKind kind, std::size_t bytes, int nranks);
 
   /// Record a CollectiveEvent without the begin/end CPU-time bracketing —
-  /// for nonblocking collectives, whose progress is interleaved with compute
-  /// and may overlap other outstanding requests (begin_collective forbids
-  /// nesting by design). Their CPU time stays in the compute bucket, which
-  /// is exactly the overlap the v1.4 pipeline is after.
+  /// for the later phases of a two-level (hierarchical) collective, whose
+  /// first phase already closed the bracket (begin_collective forbids
+  /// nesting by design), so their time is charged with that first phase.
   void record_collective(CollKind kind, std::size_t bytes, int nranks);
 
   void record_memcpy(std::size_t bytes, bool to_device);

@@ -4,16 +4,18 @@
 // the chunk channels) produces *bitwise identical* results to the naive
 // publish-and-sync reference, across team sizes, payload sizes (including 0
 // and non-chunk-aligned counts), real and complex scalars, and chunk sizes
-// small enough to force multi-chunk pipelines. Plus: nonblocking requests,
-// the all_gather_v edge cases, the p2p fault-injection sites, and a
-// tsan-targeted concurrent-teams stress test.
+// small enough to force multi-chunk pipelines. Plus: one reduction per
+// distributed H apply, the all_gather_v edge cases, the p2p fault-injection
+// sites, and a tsan-targeted concurrent-teams stress test.
 #include <gtest/gtest.h>
 
 #include <complex>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "coll/abft.hpp"
 #include "coll/engine.hpp"
 #include "comm/communicator.hpp"
 #include "common/rng.hpp"
@@ -255,52 +257,19 @@ TEST(CollEdge, AllGatherVOverlappingDisplsRejected) {
   }
 }
 
-TEST(CollNonblocking, OutstandingRequestsCompleteBitwise) {
-  for (const coll::Algorithm algo :
-       {coll::Algorithm::kRing, coll::Algorithm::kTree,
-        coll::Algorithm::kAuto}) {
-    coll::ScopedAlgorithm policy(algo);
-    coll::ScopedChunkBytes chunk_scope(64);
-    const int p = 4;
-    const Index count = 257;
-    const auto want_a = reference_allreduce<double>(p, count, Reduction::kSum, 1);
-    const auto want_b = reference_allreduce<double>(p, count, Reduction::kSum, 2);
-    Team team(p);
-    team.run([&](Communicator& comm) {
-      std::vector<double> a = rank_payload<double>(comm.rank(), count, 1);
-      std::vector<double> b = rank_payload<double>(comm.rank(), count, 2);
-      std::vector<double> gsend = rank_payload<double>(comm.rank(), count, 3);
-      std::vector<double> gathered(std::size_t(p) * std::size_t(count));
-      // Three outstanding requests, completed out of issue order.
-      auto ra = comm.i_all_reduce(a.data(), count);
-      auto rb = comm.i_all_reduce(b.data(), count);
-      auto rg = comm.i_all_gather(gsend.data(), count, gathered.data());
-      while (!rb.test()) std::this_thread::yield();
-      rg.wait();
-      ra.wait();
-      EXPECT_TRUE(bitwise_equal(a, want_a)) << coll::algorithm_name(algo);
-      EXPECT_TRUE(bitwise_equal(b, want_b)) << coll::algorithm_name(algo);
-      for (int r = 0; r < p; ++r) {
-        const auto x = rank_payload<double>(r, count, 3);
-        EXPECT_EQ(0, std::memcmp(gathered.data() + Index(r) * count, x.data(),
-                                 std::size_t(count) * sizeof(double)));
-      }
-    });
-  }
-}
-
-TEST(CollIntegration, DistApplyBitwiseAcrossPoliciesAndOverlapEngages) {
+TEST(CollIntegration, DistApplyBitwiseAcrossPoliciesOneReducePerApply) {
   const Index n = 70;
   const Index ncols = 9;
+  const int p = 4;
   auto element = [](Index i, Index j) {
     const double v = 1.0 / double(1 + std::abs(int(i - j)));
     return i <= j ? v : v;  // symmetric
   };
-  std::vector<std::vector<std::vector<double>>> outs;  // [policy][rank]
-  double overlap_blocks = 0;
-  for (const coll::Algorithm algo : kPolicies) {
-    coll::ScopedAlgorithm policy(algo);
-    const int p = 4;
+  // One apply_c2b on a 2x2 grid; returns every rank's output. Each rank
+  // checks the collective events the apply itself recorded: one allreduce
+  // of the whole partial product over the 2-rank column communicator
+  // (under ABFT it is the first event, followed by the checksum lane).
+  auto apply_once = [&](const std::string& what, bool abft) {
     std::vector<perf::Tracker> trackers((std::size_t(p)));
     std::vector<std::vector<double>> got((std::size_t(p)));
     Team team(p);
@@ -319,27 +288,40 @@ TEST(CollIntegration, DistApplyBitwiseAcrossPoliciesAndOverlapEngages) {
               x(i, j) = element(i + 13 * j, j + 1);
             }
           }
+          const auto& events = perf::thread_tracker()->collectives();
+          const std::size_t before = events.size();
           h.apply_c2b(1.0, x.view().as_const(), 0.0, y.view());
+          ASSERT_GT(events.size(), before) << what;
+          if (!abft) EXPECT_EQ(events.size(), before + 1) << what;
+          const perf::CollectiveEvent& e = events[before];
+          EXPECT_EQ(e.kind, perf::CollKind::kAllReduce) << what;
+          EXPECT_EQ(e.bytes, std::size_t(yr * ncols) * sizeof(double)) << what;
+          EXPECT_EQ(e.nranks, 2) << what;
           std::vector<double> flat(std::size_t(yr) * std::size_t(ncols));
           std::copy_n(y.data(), flat.size(), flat.data());
           got[std::size_t(comm.rank())] = std::move(flat);
         },
         &trackers);
-    if (algo == coll::Algorithm::kAuto) {
-      for (const auto& t : trackers) {
-        overlap_blocks += t.counter("coll.overlap.blocks");
-      }
-    }
-    outs.push_back(std::move(got));
+    return got;
+  };
+  std::vector<std::vector<std::vector<double>>> outs;  // [run][rank]
+  std::vector<std::string> names;
+  for (const coll::Algorithm algo : kPolicies) {
+    coll::ScopedAlgorithm policy(algo);
+    names.emplace_back(coll::algorithm_name(algo));
+    outs.push_back(apply_once(names.back(), /*abft=*/false));
+  }
+  {
+    coll::ScopedAbft abft(true);
+    names.emplace_back("naive+abft");
+    outs.push_back(apply_once(names.back(), /*abft=*/true));
   }
   for (std::size_t a = 1; a < outs.size(); ++a) {
     for (std::size_t r = 0; r < outs[a].size(); ++r) {
       EXPECT_TRUE(bitwise_equal(outs[a][r], outs[0][r]))
-          << "policy " << coll::algorithm_name(kPolicies[a]) << " rank " << r;
+          << names[a] << " rank " << r;
     }
   }
-  // The auto policy must actually have run the overlap pipeline.
-  EXPECT_GT(overlap_blocks, 0.0);
 }
 
 /// Installs tuned dispatch tables for one scope; on exit no profile is
@@ -460,10 +442,10 @@ TEST(CollFault, RankDieOnChannelPathAborts) {
   }
 }
 
-// tsan target: several teams of threads hammer the chunk channels, split
-// communicators and nonblocking requests concurrently. Any missing
-// synchronization in Mailbox/CommState shows up here under
-// -fsanitize=thread (ctest -L coll on the tsan preset).
+// tsan target: several teams of threads hammer the chunk channels and
+// split communicators concurrently. Any missing synchronization in
+// Mailbox/CommState shows up here under -fsanitize=thread (ctest -L coll
+// on the tsan preset).
 TEST(CollStress, ConcurrentTeams) {
   coll::ScopedAlgorithm policy(coll::Algorithm::kAuto);
   coll::ScopedChunkBytes chunk_scope(64);
@@ -482,10 +464,9 @@ TEST(CollStress, ConcurrentTeams) {
           comm.all_reduce(x.data(), count);
           std::vector<double> g(std::size_t(comm.size()) *
                                 std::size_t(count));
-          auto req = comm.i_all_gather(x.data(), count, g.data());
+          comm.all_gather(x.data(), count, g.data());
           std::vector<double> b((std::size_t(count)), double(iter));
           comm.broadcast(b.data(), count, iter % comm.size());
-          req.wait();
           Communicator half = comm.split(comm.rank() % 2, comm.rank());
           double v = double(comm.rank());
           half.all_reduce(&v, 1);

@@ -3,8 +3,8 @@
 // Under test: the grouped sub-communicators a CHASE_TOPO assignment hangs
 // off split() (Communicator::hier_group), the hierarchical routines staying
 // bitwise-identical to the naive reference across node shapes x algorithms
-// x scalar types, repeated rounds of blocking and nonblocking calls on one
-// communicator staying bitwise-exact with fresh payloads every round, and a
+// x scalar types, repeated rounds of calls on one communicator staying
+// bitwise-exact with fresh payloads every round, and a
 // leader-rank death propagating TeamAborted through both communicator
 // levels.
 #include <gtest/gtest.h>
@@ -291,27 +291,6 @@ TEST(HierDispatch, RepeatedRoundsMatchReferenceReal) {
 }
 TEST(HierDispatch, RepeatedRoundsMatchReferenceComplex) {
   repeated_rounds_roundtrip<std::complex<double>>();
-}
-
-TEST(HierDispatch, NonblockingRoundsMatchReference) {
-  comm::ScopedTopology topo(shape("2x4"));
-  coll::ScopedAlgorithm policy(coll::Algorithm::kRing);
-  const Index count = 129;
-  Team team(kRanks);
-  team.run([&](Communicator& comm) {
-    std::vector<double> x(static_cast<std::size_t>(count));
-    for (int it = 0; it < 2; ++it) {
-      const std::uint64_t salt = 555u + std::uint64_t(it);
-      auto px = rank_payload<double>(comm.rank(), count, salt);
-      std::copy(px.begin(), px.end(), x.begin());
-      coll::CollRequest req = comm.i_all_reduce(x.data(), count);
-      EXPECT_FALSE(req.done()) << "ring allreduce must run as a channel op";
-      req.wait();
-      EXPECT_TRUE(bitwise_equal(
-          x, reference_allreduce<double>(kRanks, count, Reduction::kSum,
-                                         salt)));
-    }
-  });
 }
 
 TEST(HierFault, LeaderDeathPropagatesThroughBothLevels) {

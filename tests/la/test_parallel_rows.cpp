@@ -171,7 +171,7 @@ TYPED_TEST(ParallelRowsTyped, PackedHemmMatchesPlainOperandHemm) {
           EXPECT_TRUE(same_bytes(c.cview(), plain.cview()))
               << what << " share=" << share;
           // Column blocks of 1, then of a third of the columns: hemm is
-          // column-split invariant (the dist overlap pipeline relies on it).
+          // column-split invariant (the lockstep Lanczos relies on it).
           for (Index bw : {Index(1), std::max<Index>(1, ncols / 3)}) {
             if (ncols > 64 && bw == 1) continue;
             auto split = clone(c0.cview());
