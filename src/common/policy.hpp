@@ -2,8 +2,8 @@
 // switch the solver resolves per call.
 //
 // A policy is an atomic override slot seeded from one environment variable
-// at first read. The enum-valued policies (GEMM kernel, factorization
-// kernel, collective algorithm, solve precision) resolve as
+// at first read. The enum-valued policies (collective algorithm, solve
+// precision) resolve as
 //
 //   explicit override (the env var, or a Scoped guard)
 //     > loaded machine-profile entry (perf::tuned_tables(), when >= 0)
@@ -120,7 +120,7 @@ class Policy final : public Slot {
   E fallback_;
 };
 
-/// Scoped pin of the enum policy object `P`, e.g. Pin<la::gemm_policy>.
+/// Scoped pin of the enum policy object `P`, e.g. Pin<coll::algorithm_policy>.
 template <auto& P>
 class Pin : public Scoped {
  public:

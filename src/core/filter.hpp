@@ -18,8 +18,8 @@
 // Every apply_c2b/apply_b2c below is one local multiply followed by one
 // allreduce of the whole partial product (dist_matrix.hpp apply_impl).
 //
-// The local multiply inside every apply runs the CHASE_GEMM_KERNEL policy
-// engine (src/la/gemm.hpp): diagonal ranks of the grid hold their Hermitian
+// The local multiply inside every apply runs the micro-kernel engine
+// (src/la/gemm.hpp): diagonal ranks of the grid hold their Hermitian
 // block only in la::hemm's packed panel order, built once from the upper
 // triangle when H is filled, so no apply re-packs H (the diagonal shift
 // below rewrites the n packed diagonal entries); off-diagonal ranks run the

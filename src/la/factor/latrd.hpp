@@ -28,7 +28,6 @@
 
 #include "la/blas1.hpp"
 #include "la/blas2.hpp"
-#include "la/factor/policy.hpp"
 #include "la/gemm.hpp"
 #include "la/householder.hpp"
 #include "la/matrix.hpp"

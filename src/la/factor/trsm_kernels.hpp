@@ -1,21 +1,32 @@
 // Triangular solve / multiply kernels of the factorization engine.
 //
-// Each operation comes in two shapes (la/factor/policy.hpp):
+// Each operation comes in two shapes:
 //
-//   naive_*   — the seed scalar kernels, kept verbatim as oracles;
+//   naive_*   — the seed scalar kernels, kept verbatim as the oracles
+//               tests/la and the benches compare against;
 //   blocked_* — the triangle split into kFactorBlock-wide panels: the
 //               diagonal blocks run the naive kernel and every off-diagonal
 //               block is one GEMM, so all but O(n m nb) of the O(n^2 m) work
 //               rides the register-tiled micro engine.
 //
-// The public dispatchers live in la/trsm.hpp; these kernels are also called
-// directly by the blocked POTRF (panel solves) and the compact-WY larfb.
+// The public entry points in la/trsm.hpp run the blocked shape; these
+// kernels are also called directly by the blocked POTRF (panel solves) and
+// the compact-WY larfb.
 #pragma once
 
 #include "la/blas1.hpp"
-#include "la/factor/policy.hpp"
 #include "la/gemm.hpp"
 #include "la/matrix.hpp"
+
+namespace chase::la {
+
+/// Panel width of every blocked factorization kernel. Blocked kernels run
+/// the naive kernel whenever the triangular dimension fits in one panel, so
+/// small subspace factorizations (n_e <= 64) take the seed scalar path and
+/// the GEMM lowering only engages where it pays.
+inline constexpr Index kFactorBlock = 64;
+
+}  // namespace chase::la
 
 namespace chase::la::factor {
 

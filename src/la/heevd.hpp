@@ -13,7 +13,6 @@
 #include "common/timer.hpp"
 #include "la/blas2.hpp"
 #include "la/factor/latrd.hpp"
-#include "la/factor/policy.hpp"
 #include "la/householder.hpp"
 #include "la/matrix.hpp"
 #include "la/trsm.hpp"
@@ -25,10 +24,11 @@ namespace chase::la {
 /// A = Q T Q^H. On exit d/e hold the diagonal and subdiagonal of T and `q`
 /// holds the unitary back-transform Q (zhetrd + zungtr, lower variant).
 ///
-/// Policy dispatcher (CHASE_FACTOR_KERNEL, la/factor/policy.hpp): `naive`
-/// runs the seed per-reflector rank-2 updates, `blocked` the latrd panel
-/// reduction with a rank-2k GEMM trailing update plus a compact-WY Q
-/// back-accumulation (la/factor/latrd.hpp). Tracked calls record
+/// Above one kFactorBlock panel this runs the latrd panel reduction with a
+/// rank-2k GEMM trailing update plus a compact-WY Q back-accumulation
+/// (la/factor/latrd.hpp); subspace-sized problems (a single panel or less)
+/// take the seed per-reflector rank-2 kernels, like the other blocked
+/// kernels' diagonal-block fallback. Tracked calls record
 /// "la.hetrd.flops" / "la.hetrd.seconds" for the machine-model
 /// factorization-rate calibration.
 template <typename T>
@@ -47,12 +47,9 @@ void hetrd_lower(MatrixView<T> a, std::vector<RealType<T>>& d,
   }
 
   std::vector<T> taus(std::size_t(n - 1), T(0));
-  const FactorKernel kernel = factor_kernel_for(n);
   const bool tracked = perf::thread_tracker() != nullptr;
   WallTimer timer;
-  // Like the other blocked kernels, subspace-sized problems (a single panel
-  // or less) take the seed path so both policies agree bitwise there.
-  if (kernel == FactorKernel::kBlocked && n > kFactorBlock) {
+  if (n > kFactorBlock) {
     factor::blocked_hetrd_reduce(a, d, e, taus);
     factor::blocked_hetrd_form_q(a.as_const(), taus, q);
   } else {
@@ -62,7 +59,7 @@ void hetrd_lower(MatrixView<T> a, std::vector<RealType<T>>& d,
   if (tracked) {
     // Reduction (4/3 n^3) + Q formation (4/3 n^3), x4 complex.
     detail::record_factor_call(
-        "la.hetrd.flops", "la.hetrd.seconds", kernel,
+        "la.hetrd.flops", "la.hetrd.seconds",
         (kIsComplex<T> ? 4.0 : 1.0) * 8.0 / 3.0 * double(n) * double(n) *
             double(n),
         timer.seconds());

@@ -2,10 +2,9 @@
 // Hermitian — the shape of the Chebyshev filter's hot loop (H times a block
 // of vectors) and of every diagonal-rank panel in the distributed HEMM.
 //
-// Under the `micro` kernel policy this runs a symmetry-aware variant of the
-// five-loop engine (gemm_micro.hpp) over a PackedHermitian operand: A held
-// only in the panel order the engine reads, built once from A's *upper*
-// triangle. The symmetric dimension is tiled into kc-deep k blocks; for
+// This runs a symmetry-aware variant of the five-loop engine
+// (gemm_micro.hpp) over a PackedHermitian operand: A held only in the panel
+// order the engine reads, built once from A's *upper* triangle. The symmetric dimension is tiled into kc-deep k blocks; for
 // k block q the packed panels hold the direct products' rows A_rq (rows
 // above the block) straight, the diagonal block densified, and the mirrored
 // rows A_qr^H (rows below it) conjugate-transposed. A caller that applies
@@ -25,10 +24,6 @@
 // Hermitian operand holds to rounding, not bitwise: the compiler may
 // contract the complex multiply-accumulates differently in the two inlined
 // instantiations.)
-//
-// Under the `naive` policy hemm() forwards to gemm() so the oracle stays
-// byte-for-byte the seed behaviour; a packed operand is unpacked into a
-// per-call scratch for it.
 #pragma once
 
 #include <algorithm>
@@ -135,15 +130,6 @@ class PackedHermitian {
                           v);
   }
 
-  /// Expand into full storage (both triangles) — the naive policy's input.
-  void unpack(MatrixView<T> full) const {
-    CHASE_CHECK_MSG(full.rows() == n_ && full.cols() == n_,
-                    "PackedHermitian: unpack shape");
-    for (Index j = 0; j < n_; ++j) {
-      for (Index i = 0; i < n_; ++i) full(i, j) = at(i, j);
-    }
-  }
-
  private:
   Index block_offset(Index u0, Index q0) const {
     return u0 * n_ + round_up(std::min<Index>(UR, n_ - u0), MR) * q0;
@@ -235,20 +221,6 @@ bool hemm_trivial(Index n, T alpha, ConstMatrixView<T> b, T beta,
   return false;
 }
 
-/// The micro engine plus its Tracker record.
-template <typename T>
-void hemm_micro_tracked(T alpha, const PackedHermitian<T>& a,
-                        ConstMatrixView<T> b, T beta, MatrixView<T> c) {
-  const bool tracked = perf::thread_tracker() != nullptr;
-  WallTimer timer;
-  hemm_micro(alpha, a, b, beta, c);
-  if (tracked) {
-    record_gemm_call("la.kernel.hemm.calls", sizeof(RealType<T>) == 4,
-                     gemm_flop_count<T>(a.rows(), c.cols(), a.rows()),
-                     timer.seconds());
-  }
-}
-
 }  // namespace detail
 
 using detail::PackedHermitian;
@@ -260,36 +232,29 @@ void hemm(T alpha, const PackedHermitian<T>& a, ConstMatrixView<T> b, T beta,
           MatrixView<T> c) {
   const Index n = a.rows();
   if (detail::hemm_trivial(n, alpha, b, beta, c)) return;
-  if (gemm_kernel_for(scalar_tag<T>(), n, c.cols(), n) == GemmKernel::kNaive) {
-    // The oracle's speed does not matter: expand A for the plain engine.
-    Matrix<T> full(n, n);
-    a.unpack(full.view());
-    gemm(alpha, Op::kNoTrans, full.cview(), Op::kNoTrans, b, beta, c);
-    return;
+  const bool tracked = perf::thread_tracker() != nullptr;
+  WallTimer timer;
+  detail::hemm_micro(alpha, a, b, beta, c);
+  if (tracked) {
+    detail::record_gemm_call("la.kernel.hemm.calls", sizeof(RealType<T>) == 4,
+                             detail::gemm_flop_count<T>(n, c.cols(), n),
+                             timer.seconds());
   }
-  detail::hemm_micro_tracked(alpha, a, b, beta, c);
 }
 
-/// C = alpha * A * B + beta * C with A Hermitian (full storage; under the
-/// micro policy only the upper triangle is read). Packs A into a per-thread
-/// scratch — grown to the largest A seen, never shrunk — on every call; a
-/// caller that applies one A repeatedly should hold a PackedHermitian.
+/// C = alpha * A * B + beta * C with A Hermitian (full storage; only the
+/// upper triangle is read). Packs A into a per-thread scratch — grown to the
+/// largest A seen, never shrunk — on every call; a caller that applies one A
+/// repeatedly should hold a PackedHermitian.
 template <typename T>
 void hemm(T alpha, ConstMatrixView<T> a, ConstMatrixView<T> b, T beta,
           MatrixView<T> c) {
   const Index n = a.rows();
   CHASE_CHECK_MSG(a.cols() == n, "hemm: A must be square");
   if (detail::hemm_trivial(n, alpha, b, beta, c)) return;
-  if (gemm_kernel_for(scalar_tag<T>(), n, c.cols(), n) == GemmKernel::kNaive) {
-    // The naive policy reads the full storage through the plain engine
-    // (shape-aware, so a tuned profile routes small products the same way an
-    // explicit override would).
-    gemm(alpha, Op::kNoTrans, a, Op::kNoTrans, b, beta, c);
-    return;
-  }
   thread_local PackedHermitian<T> packed;
   packed.fill(n, [&](Index i, Index j) { return a(i, j); });
-  detail::hemm_micro_tracked(alpha, packed, b, beta, c);
+  hemm(alpha, packed, b, beta, c);
 }
 
 }  // namespace chase::la

@@ -1,6 +1,5 @@
 #include "perf/tuned.hpp"
 
-#include <cmath>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -9,13 +8,8 @@ namespace chase::perf {
 
 namespace {
 
-// Class boundaries. The tuner measures one representative size per class
-// (96 / 384 / 1024 for GEMM, 128 / 256 / 1024 for factorizations) and the
-// winner covers the whole class.
-constexpr double kGemmSmallMax = 192;
-constexpr double kGemmMediumMax = 640;
-constexpr long long kFactorSmallMax = 128;
-constexpr long long kFactorMediumMax = 512;
+// Class boundaries. The tuner measures one representative message size per
+// class and the winner covers the whole class.
 constexpr std::size_t kMsgSmallMax = std::size_t(64) << 10;   // 64 KiB
 constexpr std::size_t kMsgMediumMax = std::size_t(1) << 20;   // 1 MiB
 
@@ -23,7 +17,7 @@ struct TableSlot {
   std::atomic<const TunedTables*> current{nullptr};
   std::mutex mu;  // serializes writers
   // Replaced tables are retired here instead of freed: a reader may still
-  // hold the old pointer (the dispatchers are called from rank threads).
+  // hold the old pointer (the dispatcher is called from rank threads).
   std::vector<std::unique_ptr<const TunedTables>> retired;
 };
 
@@ -33,45 +27,6 @@ TableSlot& slot() {
 }
 
 }  // namespace
-
-const char* scalar_tag_name(ScalarTag t) {
-  switch (t) {
-    case ScalarTag::kF32:
-      return "f";
-    case ScalarTag::kF64:
-      return "d";
-    case ScalarTag::kC32:
-      return "c";
-    case ScalarTag::kC64:
-    default:
-      return "z";
-  }
-}
-
-const char* n_class_name(NClass c) {
-  switch (c) {
-    case NClass::kSmall:
-      return "small";
-    case NClass::kMedium:
-      return "medium";
-    case NClass::kLarge:
-    default:
-      return "large";
-  }
-}
-
-NClass gemm_n_class(double m, double n, double k) {
-  const double dim = std::cbrt(m * n * k);
-  if (dim <= kGemmSmallMax) return NClass::kSmall;
-  if (dim <= kGemmMediumMax) return NClass::kMedium;
-  return NClass::kLarge;
-}
-
-NClass factor_n_class(long long n) {
-  if (n <= kFactorSmallMax) return NClass::kSmall;
-  if (n <= kFactorMediumMax) return NClass::kMedium;
-  return NClass::kLarge;
-}
 
 const char* msg_class_name(MsgClass c) {
   switch (c) {

@@ -1,13 +1,14 @@
 // Tuned dispatch tables: the low-level, dependency-free representation of a
 // loaded machine profile (src/tune).
 //
-// The autotuner benchmarks the registered kernels and collective algorithms
-// and persists the winners per shape/size class (DBCSR-style: tune once per
-// machine, dispatch from the table at runtime). The la and coll policy
-// layers cannot depend on src/tune (tune drives them), so the *data* lives
-// here in perf — plain ints keyed by the class enums below, with the
-// translation to la::GemmKernel / la::FactorKernel / coll::Algorithm done by
-// the consumers, and the installation done by tune::install_profile().
+// The autotuner benchmarks the collective algorithms and persists the
+// winners per message-size class (DBCSR-style: tune once per machine,
+// dispatch from the table at runtime), plus the measured kernel rates that
+// calibrate the machine model. The coll policy layer cannot depend on
+// src/tune (tune drives it), so the *data* lives here in perf — plain ints
+// keyed by the class enums below, with the translation to coll::Algorithm
+// done by the consumer, and the installation done by
+// tune::install_profile().
 //
 // Precedence contract (enforced by each consumer): an explicit override
 // (CHASE_* env var or a Scoped* policy guard) always wins; otherwise a
@@ -24,28 +25,7 @@
 
 namespace chase::perf {
 
-// --- shape and size classes the tuned tables are keyed by ---
-
-/// Scalar storage type of a dense kernel call.
-enum class ScalarTag : int { kF32 = 0, kF64, kC32, kC64, kCount_ };
-inline constexpr int kScalarTagCount = int(ScalarTag::kCount_);
-
-const char* scalar_tag_name(ScalarTag t);
-
-/// Dense-kernel shape class, by the geometric-mean dimension of the
-/// product (cbrt(m*n*k) for GEMM, the triangular n for factorizations).
-/// Class boundaries match the tuner's representative sizes: it measures one
-/// size per class and the winner covers the class.
-enum class NClass : int { kSmall = 0, kMedium, kLarge, kCount_ };
-inline constexpr int kNClassCount = int(NClass::kCount_);
-
-const char* n_class_name(NClass c);
-
-/// Class of a GEMM-shaped product m x n x k.
-NClass gemm_n_class(double m, double n, double k);
-
-/// Class of a factorization on a triangular dimension n.
-NClass factor_n_class(long long n);
+// --- size classes the tuned tables are keyed by ---
 
 /// Collective message-size class (bytes follow the Tracker convention:
 /// per-rank payload for reduce/broadcast, total gathered for allgather).
@@ -69,13 +49,10 @@ int parse_class(std::string_view name, const char* (*namer)(E), int count) {
 // --- the tables themselves ---
 
 /// One loaded profile's dispatch tables. Entries are the *int value* of the
-/// consumer-side enum (la::GemmKernel, la::FactorKernel, coll::Algorithm);
-/// -1 means "no tuned entry, fall through to the default". Rates are the
-/// measured machine rates (0 = unset) that calibrate the selection
-/// MachineModel.
+/// consumer-side enum (coll::Algorithm); -1 means "no tuned entry, fall
+/// through to the default". Rates are the measured machine rates (0 =
+/// unset) that calibrate the selection MachineModel.
 struct TunedTables {
-  int gemm_kernel[kScalarTagCount][kNClassCount];
-  int factor_kernel[kNClassCount];
   int coll_algo[kCollKindCount][kMsgClassCount];
   long long chunk_bytes = 0;  // 0 = unset
   double gemm_flops = 0;      // measured double GEMM rate (flops/s)
@@ -83,10 +60,6 @@ struct TunedTables {
   double single_speedup = 0;  // measured fp32/fp64 GEMM rate ratio
 
   TunedTables() {
-    for (auto& row : gemm_kernel) {
-      for (int& v : row) v = -1;
-    }
-    for (int& v : factor_kernel) v = -1;
     for (auto& row : coll_algo) {
       for (int& v : row) v = -1;
     }
@@ -94,8 +67,8 @@ struct TunedTables {
 };
 
 /// The process-global tuned tables, or null when no profile is installed.
-/// One relaxed-ish atomic load — cheap enough for the per-call kernel
-/// dispatchers. The returned pointer stays valid for the process lifetime
+/// One acquire load — cheap enough for the per-call collective
+/// dispatcher. The returned pointer stays valid for the process lifetime
 /// (replaced tables are retired, not freed).
 const TunedTables* tuned_tables();
 

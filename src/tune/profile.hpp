@@ -2,10 +2,11 @@
 //
 // A MachineProfile is what `chase_tune` persists and what CHASE_PROFILE
 // loads at solve start: the machine fingerprint the measurements were taken
-// on, the raw measurement log (every kernel/algorithm probed, so selections
-// can be re-derived deterministically without re-benchmarking —
-// CHASE_TUNE_REPLAY), and the derived dispatch tables in the low-level
-// perf::TunedTables form the policy layers consume.
+// on, the raw measurement log (every kernel and algorithm probed, so the
+// tables can be re-derived deterministically without re-benchmarking —
+// CHASE_TUNE_REPLAY), and the derived tables in the low-level
+// perf::TunedTables form the coll policy layer and the machine model
+// consume.
 //
 // The JSON wire format is schema- and version-checked:
 //
@@ -13,11 +14,7 @@
 //    "fingerprint": {"host": "...", "cpu": "...", "threads": N},
 //    "measurements": [{"name": "gemm.d.n384.micro",
 //                      "value": 1.23e9, "unit": "flop/s"}, ...],
-//    "tables": {"gemm_kernel":   [{"type": "d", "nclass": "small",
-//                                  "kernel": "micro"}, ...],
-//               "factor_kernel": [{"nclass": "small",
-//                                  "kernel": "blocked"}, ...],
-//               "coll_algo":     [{"kind": "allreduce", "msgclass": "small",
+//    "tables": {"coll_algo":     [{"kind": "allreduce", "msgclass": "small",
 //                                  "algo": "ring"}, ...],
 //               "chunk_bytes": 65536,
 //               "rates": {"gemm_flops": ..., "factor_flops": ...,
@@ -27,7 +24,10 @@
 // documents outright (the caller falls back to built-in defaults and bumps
 // "tune.profile.rejected"); unknown *enum names* inside the tables merely
 // leave that entry untuned, so a profile written by a newer build with more
-// kernels still loads on an older one.
+// algorithms still loads on an older one. Every table key is optional and
+// unknown keys are ignored: v1 profiles written before the GEMM and
+// factorization kernel policies were retired still carry "gemm_kernel" and
+// "factor_kernel" tables, and load with those tables unread.
 #pragma once
 
 #include <optional>

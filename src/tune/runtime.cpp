@@ -5,8 +5,6 @@
 
 #include "coll/engine.hpp"
 #include "common/env.hpp"
-#include "la/factor/policy.hpp"
-#include "la/gemm_policy.hpp"
 #include "perf/tracker.hpp"
 #include "perf/tuned.hpp"
 #include "tune/profile.hpp"
@@ -61,22 +59,6 @@ void bump_domain(bool overridden, bool profiled) {
   }
 }
 
-bool any_gemm_entry(const perf::TunedTables& t) {
-  for (const auto& row : t.gemm_kernel) {
-    for (const int v : row) {
-      if (v >= 0) return true;
-    }
-  }
-  return false;
-}
-
-bool any_factor_entry(const perf::TunedTables& t) {
-  for (const int v : t.factor_kernel) {
-    if (v >= 0) return true;
-  }
-  return false;
-}
-
 bool any_coll_entry(const perf::TunedTables& t) {
   for (const auto& row : t.coll_algo) {
     for (const int v : row) {
@@ -103,10 +85,6 @@ void ensure_profile_from_env() {
 void record_provenance() {
   if (perf::thread_tracker() == nullptr) return;
   const perf::TunedTables* t = perf::tuned_tables();
-  bump_domain(la::gemm_policy.overridden(),
-              t != nullptr && any_gemm_entry(*t));
-  bump_domain(la::factor_policy.overridden(),
-              t != nullptr && any_factor_entry(*t));
   bump_domain(coll::algorithm_policy.overridden(),
               t != nullptr && any_coll_entry(*t));
   bump_domain(coll::chunk_knob.overridden(),

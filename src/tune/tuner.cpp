@@ -1,18 +1,14 @@
 #include "tune/tuner.hpp"
 
 #include <algorithm>
-#include <complex>
-#include <cstdio>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "coll/engine.hpp"
 #include "comm/communicator.hpp"
-#include "common/env.hpp"
 #include "common/rng.hpp"
 #include "la/gemm.hpp"
-#include "la/gemm_policy.hpp"
 #include "la/parallel.hpp"
 #include "la/potrf.hpp"
 #include "la/trsm.hpp"
@@ -23,12 +19,6 @@ namespace chase::tune {
 namespace {
 
 using la::Index;
-
-// A kernel whose small-size rate trails the small-size winner by more than
-// this factor is not re-measured at the larger classes (the seed naive GEMM
-// runs minutes-per-call at n ~ 1000; the pruning keeps full tuning runs in
-// seconds while the measurement log stays honest about what was probed).
-constexpr double kPruneFactor = 4.0;
 
 template <typename T>
 la::Matrix<T> random_mat(Index m, Index n, std::uint64_t seed) {
@@ -44,54 +34,39 @@ std::string size_token(const char* prefix, long long v) {
   return std::string(prefix) + std::to_string(v);
 }
 
-// --- GEMM probes: gemm.<tag>.n<size>.<kernel> = flop/s -------------------
+// --- GEMM probes: gemm.<f|d>.n<size>.micro = flop/s ---------------------
+//
+// The real types give the fp64 rate and the fp32 speedup. The last token
+// names the engine measured; v1 profiles also logged the retired naive (and
+// blocked) GEMM kernels and the complex types under the same grammar.
 
 template <typename T>
 void probe_gemm(const TuneOptions& opts, const char* tag,
                 std::vector<RawMeasurement>& out) {
-  constexpr la::GemmKernel kKernels[] = {la::GemmKernel::kNaive,
-                                         la::GemmKernel::kMicro};
-  const double z = kIsComplex<T> ? 8.0 : 2.0;
-  double small_best = 0;
-  double small_rate[2] = {0, 0};
-  for (std::size_t si = 0; si < opts.gemm_sizes.size(); ++si) {
-    const Index n = Index(opts.gemm_sizes[si]);
+  for (const long long size : opts.gemm_sizes) {
+    const Index n = Index(size);
     auto a = random_mat<T>(n, n, 1);
     auto b = random_mat<T>(n, n, 2);
     la::Matrix<T> c(n, n);
-    const double flops = z * double(n) * double(n) * double(n);
-    for (const la::GemmKernel kern : kKernels) {
-      if (si > 0 && small_rate[int(kern)] * kPruneFactor < small_best) {
-        continue;  // pruned: decisively lost at the small size already
-      }
-      la::ScopedGemmKernel scoped(kern);
-      const double rate = measured_rate(flops, opts.warmup, opts.repeats, [&] {
-        la::gemm(T(1), a.cview(), b.cview(), T(0), c.view());
-      });
-      if (si == 0) {
-        small_rate[int(kern)] = rate;
-        small_best = std::max(small_best, rate);
-      }
-      out.push_back({std::string("gemm.") + tag + "." + size_token("n", n) +
-                         "." + std::string(la::gemm_kernel_name(kern)),
-                     rate, "flop/s"});
-    }
+    const double flops = 2.0 * double(n) * double(n) * double(n);
+    const double rate = measured_rate(flops, opts.warmup, opts.repeats, [&] {
+      la::gemm(T(1), a.cview(), b.cview(), T(0), c.view());
+    });
+    out.push_back({std::string("gemm.") + tag + "." + size_token("n", n) +
+                       ".micro",
+                   rate, "flop/s"});
   }
 }
 
-// --- factorization probes: factor.n<size>.<kernel> = flop/s --------------
+// --- factorization probes: factor.n<size>.blocked = flop/s ---------------
 //
 // One composite per size: POTRF of a shifted Gram matrix plus the TRSM that
-// CholeskyQR applies afterwards — the level-3 path both kernels disagree on.
+// CholeskyQR applies afterwards.
 
 void probe_factor(const TuneOptions& opts, std::vector<RawMeasurement>& out) {
   using T = double;
-  constexpr la::FactorKernel kKernels[] = {la::FactorKernel::kNaive,
-                                           la::FactorKernel::kBlocked};
-  double small_best = 0;
-  double small_rate[2] = {0, 0};
-  for (std::size_t si = 0; si < opts.factor_sizes.size(); ++si) {
-    const Index n = Index(opts.factor_sizes[si]);
+  for (const long long size : opts.factor_sizes) {
+    const Index n = Index(size);
     auto g = random_mat<T>(n, n, 3);
     // Symmetrize and shift: diagonally dominant, so POTRF never breaks down.
     for (Index j = 0; j < n; ++j) {
@@ -102,25 +77,14 @@ void probe_factor(const TuneOptions& opts, std::vector<RawMeasurement>& out) {
     la::Matrix<T> work(n, n), x(n, n);
     // POTRF ~ n^3/3, TRSM ~ n^3: nominal composite flop count.
     const double flops = (1.0 / 3.0 + 1.0) * double(n) * double(n) * double(n);
-    for (const la::FactorKernel kern : kKernels) {
-      if (si > 0 && small_rate[int(kern)] * kPruneFactor < small_best) {
-        continue;
-      }
-      la::ScopedFactorKernel scoped(kern);
-      const double rate = measured_rate(flops, opts.warmup, opts.repeats, [&] {
-        la::copy(g.cview(), work.view());
-        la::copy(b.cview(), x.view());
-        la::potrf_upper(work.view());
-        la::trsm_right_upper(work.cview(), x.view());
-      });
-      if (si == 0) {
-        small_rate[int(kern)] = rate;
-        small_best = std::max(small_best, rate);
-      }
-      out.push_back({std::string("factor.") + size_token("n", n) + "." +
-                         std::string(la::factor_kernel_name(kern)),
-                     rate, "flop/s"});
-    }
+    const double rate = measured_rate(flops, opts.warmup, opts.repeats, [&] {
+      la::copy(g.cview(), work.view());
+      la::copy(b.cview(), x.view());
+      la::potrf_upper(work.view());
+      la::trsm_right_upper(work.cview(), x.view());
+    });
+    out.push_back({std::string("factor.") + size_token("n", n) + ".blocked",
+                   rate, "flop/s"});
   }
 }
 
@@ -237,18 +201,9 @@ long long numeric_token(const std::string& tok, char prefix) {
 
 TuneOptions TuneOptions::with_defaults() const {
   TuneOptions o = *this;
-  if (o.gemm_sizes.empty()) {
-    // One representative per shape class (boundaries 192 / 640).
-    o.gemm_sizes = o.quick ? std::vector<long long>{64, 224, 672}
-                           : std::vector<long long>{96, 384, 768};
-  }
-  if (o.factor_sizes.empty()) {
-    // One per factorization class (boundaries 128 / 512). The small probe
-    // stays above the blocked kernel's n<=64 naive fallback so the two
-    // policies actually differ at the measured size.
-    o.factor_sizes = o.quick ? std::vector<long long>{96, 256, 640}
-                             : std::vector<long long>{96, 320, 768};
-  }
+  // One kernel size each: the rates come from the largest probed size.
+  if (o.gemm_sizes.empty()) o.gemm_sizes = {o.quick ? 672 : 768};
+  if (o.factor_sizes.empty()) o.factor_sizes = {o.quick ? 640 : 768};
   if (o.coll_bytes.empty()) {
     // One per message-size class (boundaries 64 KiB / 1 MiB).
     o.coll_bytes = o.quick
@@ -266,32 +221,6 @@ TuneOptions TuneOptions::with_defaults() const {
   return o;
 }
 
-TuneOptions options_from_env() {
-  TuneOptions o;
-  if (const auto v = env::positive_env("CHASE_TUNE_REPS")) {
-    o.repeats = int(env::ranged_int("CHASE_TUNE_REPS", std::to_string(*v), 1,
-                                    1000));
-  }
-  if (const auto v = env::text_env("CHASE_TUNE_WARMUP")) {
-    o.warmup = int(env::ranged_int("CHASE_TUNE_WARMUP", *v, 0, 1000));
-  }
-  if (const auto v = env::positive_env("CHASE_TUNE_RANKS")) {
-    o.coll_ranks = int(env::ranged_int("CHASE_TUNE_RANKS",
-                                       std::to_string(*v), 2, 256));
-  }
-  if (const auto v = env::text_env("CHASE_TUNE_QUICK")) {
-    if (*v == "1" || *v == "true" || *v == "yes") {
-      o.quick = true;
-    } else if (*v == "0" || *v == "false" || *v == "no") {
-      o.quick = false;
-    } else {
-      env::reject("CHASE_TUNE_QUICK", *v, "not a boolean",
-                  "0 | 1 | true | false | yes | no");
-    }
-  }
-  return o;
-}
-
 MachineProfile run_tuning(const TuneOptions& opts_in) {
   const TuneOptions opts = opts_in.with_defaults();
   MachineProfile p;
@@ -303,8 +232,6 @@ MachineProfile run_tuning(const TuneOptions& opts_in) {
     la::ScopedCoreShare one_core(1);
     probe_gemm<float>(opts, "f", p.measurements);
     probe_gemm<double>(opts, "d", p.measurements);
-    probe_gemm<std::complex<float>>(opts, "c", p.measurements);
-    probe_gemm<std::complex<double>>(opts, "z", p.measurements);
     probe_factor(opts, p.measurements);
   }
   if (!opts.skip_collectives) probe_collectives(opts, p.measurements);
@@ -317,56 +244,34 @@ perf::TunedTables derive_selections(
   perf::TunedTables t;
   // Winner accumulators: first-measured strictly-better wins, so replaying
   // the same log reproduces the same tables.
-  double gemm_best[perf::kScalarTagCount][perf::kNClassCount];
-  double factor_best[perf::kNClassCount];
   double coll_best[perf::kCollKindCount][perf::kMsgClassCount];
-  for (auto& row : gemm_best) {
-    for (double& v : row) v = 0;
-  }
-  for (double& v : factor_best) v = 0;
   for (auto& row : coll_best) {
     for (double& v : row) v = std::numeric_limits<double>::infinity();
   }
   double chunk_best = std::numeric_limits<double>::infinity();
-  // The largest measured size per domain carries the model rates.
+  // The largest measured size per domain carries the model rates: the best
+  // rate logged there, whatever kernel name the entry carries.
   long long gemm_rate_size = -1, factor_rate_size = -1;
   double gemm_d_rate = 0, gemm_f_rate = 0, factor_rate = 0;
 
   for (const RawMeasurement& m : measurements) {
     const auto parts = split_dots(m.name);
     if (parts.size() == 4 && parts[0] == "gemm") {
-      const int tag = perf::parse_class(parts[1], perf::scalar_tag_name,
-                                        perf::kScalarTagCount);
       const long long n = numeric_token(parts[2], 'n');
-      const auto kern = la::parse_gemm_kernel(parts[3]);
-      if (tag < 0 || n <= 0 || !kern) continue;
-      const int cls =
-          int(perf::gemm_n_class(double(n), double(n), double(n)));
-      if (m.value > gemm_best[tag][cls]) {
-        gemm_best[tag][cls] = m.value;
-        t.gemm_kernel[tag][cls] = int(*kern);
-      }
       const bool is_d = parts[1] == "d";
       const bool is_f = parts[1] == "f";
-      if (is_d || is_f) {
-        if (n > gemm_rate_size) {
-          gemm_rate_size = n;
-          gemm_d_rate = gemm_f_rate = 0;
-        }
-        if (n == gemm_rate_size) {
-          if (is_d) gemm_d_rate = std::max(gemm_d_rate, m.value);
-          if (is_f) gemm_f_rate = std::max(gemm_f_rate, m.value);
-        }
+      if (n <= 0 || !(is_d || is_f)) continue;
+      if (n > gemm_rate_size) {
+        gemm_rate_size = n;
+        gemm_d_rate = gemm_f_rate = 0;
+      }
+      if (n == gemm_rate_size) {
+        if (is_d) gemm_d_rate = std::max(gemm_d_rate, m.value);
+        if (is_f) gemm_f_rate = std::max(gemm_f_rate, m.value);
       }
     } else if (parts.size() == 3 && parts[0] == "factor") {
       const long long n = numeric_token(parts[1], 'n');
-      const auto kern = la::parse_factor_kernel(parts[2]);
-      if (n <= 0 || !kern) continue;
-      const int cls = int(perf::factor_n_class(n));
-      if (m.value > factor_best[cls]) {
-        factor_best[cls] = m.value;
-        t.factor_kernel[cls] = int(*kern);
-      }
+      if (n <= 0) continue;
       if (n > factor_rate_size) {
         factor_rate_size = n;
         factor_rate = 0;
@@ -399,6 +304,15 @@ perf::TunedTables derive_selections(
     t.single_speedup = gemm_f_rate / gemm_d_rate;
   }
   return t;
+}
+
+bool same_selections(const perf::TunedTables& a, const perf::TunedTables& b) {
+  for (int k = 0; k < perf::kCollKindCount; ++k) {
+    for (int c = 0; c < perf::kMsgClassCount; ++c) {
+      if (a.coll_algo[k][c] != b.coll_algo[k][c]) return false;
+    }
+  }
+  return a.chunk_bytes == b.chunk_bytes;
 }
 
 }  // namespace chase::tune

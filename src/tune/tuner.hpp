@@ -1,15 +1,16 @@
 // The micro-benchmark driver behind `chase_tune` (DESIGN.md §15).
 //
-// run_tuning() probes every registered implementation choice the runtime
-// can dispatch on — GEMM kernels per scalar type and shape class,
-// factorization kernels per triangular size class, collective algorithms
-// per message-size class, the pipelining chunk size — through the shared
-// tune::measure warmup+repeat harness, records every probe in the profile's
-// raw measurement log, and derives the dispatch tables from that log.
+// run_tuning() probes every implementation choice the runtime can dispatch
+// on — collective algorithms per message-size class and the pipelining
+// chunk size — plus the one-core rates of the GEMM (fp64 and fp32) and
+// factorization engines that calibrate the machine model, through the
+// shared tune::measure warmup+repeat harness, records every probe in the
+// profile's raw measurement log, and derives the tables from that log.
 //
 // derive_selections() is a *pure function* of the measurement log
-// (argmax rate / argmin seconds per class, first-measured wins ties, and
-// the tuner emits probes in enum order). That is what makes
+// (argmin seconds per class, first-measured wins ties, and the tuner emits
+// probes in enum order; each rate is the best measured at the largest
+// probed size). That is what makes
 // CHASE_TUNE_REPLAY deterministic: replaying a persisted profile re-derives
 // bit-identical tables from the recorded numbers without re-benchmarking.
 #pragma once
@@ -22,15 +23,15 @@
 namespace chase::tune {
 
 struct TuneOptions {
-  int warmup = 1;   // untimed runs per probe (CHASE_TUNE_WARMUP)
-  int repeats = 3;  // timed runs per probe, best-of (CHASE_TUNE_REPS)
-  int coll_ranks = 4;  // in-process team size for collective probes
-                       // (CHASE_TUNE_RANKS)
-  bool quick = false;  // CHASE_TUNE_QUICK=1: smaller representative sizes
+  int warmup = 1;      // untimed runs per probe (chase_tune --warmup)
+  int repeats = 3;     // timed runs per probe, best-of (--reps)
+  int coll_ranks = 4;  // in-process team size for collective probes (--ranks)
+  bool quick = false;  // --quick: smaller representative sizes
   bool skip_collectives = false;  // kernel-only tuning (unit tests)
 
-  // Representative problem sizes, one (or more) per class; filled by
-  // with_defaults() from `quick` when left empty.
+  // Representative problem sizes: the kernel sizes whose largest carries
+  // the rates, one message size per class; filled by with_defaults() from
+  // `quick` when left empty.
   std::vector<long long> gemm_sizes;
   std::vector<long long> factor_sizes;
   std::vector<std::size_t> coll_bytes;
@@ -41,17 +42,20 @@ struct TuneOptions {
   TuneOptions with_defaults() const;
 };
 
-/// TuneOptions from the CHASE_TUNE_* env knobs (typed: a set-but-invalid
-/// value throws env::ConfigError naming the variable).
-TuneOptions options_from_env();
-
 /// Probe the machine and return a complete profile: local fingerprint, raw
 /// measurement log, and the tables derived from it.
 MachineProfile run_tuning(const TuneOptions& opts);
 
-/// Deterministically derive the dispatch tables from a raw measurement log
-/// (see the header comment). Unmeasured classes stay -1/unset.
+/// Deterministically derive the tables from a raw measurement log (see the
+/// header comment). Unmeasured classes stay -1/unset. A kernel probe counts
+/// towards its rate whatever kernel its last name token names, so a v1 log,
+/// which also probed the retired naive kernels, re-derives its stored rates.
 perf::TunedTables derive_selections(
     const std::vector<RawMeasurement>& measurements);
+
+/// Whether two tables make the same selections (collective algorithm per
+/// class and chunk size) — the replay invariant `chase_tune --check` and
+/// bench/micro_tune verify.
+bool same_selections(const perf::TunedTables& a, const perf::TunedTables& b);
 
 }  // namespace chase::tune

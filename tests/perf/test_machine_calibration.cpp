@@ -6,9 +6,7 @@
 
 #include <complex>
 
-#include "la/factor/policy.hpp"
 #include "la/gemm.hpp"
-#include "la/gemm_policy.hpp"
 #include "la/hemm.hpp"
 #include "la/potrf.hpp"
 #include "la/trsm.hpp"
@@ -25,7 +23,6 @@ using la::Index;
 
 TEST(MachineCalibration, GemmRateComesFromTrackedCounters) {
   using T = double;
-  la::ScopedGemmKernel scoped(la::GemmKernel::kMicro);
   Tracker t;
   set_thread_tracker(&t);
   const Index n = 256;
@@ -73,7 +70,6 @@ TEST(MachineCalibration, TinySamplesAreIgnored) {
 
 TEST(MachineCalibration, HemmCallsFeedTheSameCounters) {
   using T = std::complex<double>;
-  la::ScopedGemmKernel scoped(la::GemmKernel::kMicro);
   Tracker t;
   set_thread_tracker(&t);
   const Index n = 192;
@@ -91,7 +87,6 @@ TEST(MachineCalibration, HemmCallsFeedTheSameCounters) {
 
 TEST(MachineCalibration, FactorRatePoolsAllFiveFamilies) {
   using T = double;
-  la::ScopedFactorKernel scoped(la::FactorKernel::kBlocked);
   Tracker t;
   set_thread_tracker(&t);
   const Index n = 160;

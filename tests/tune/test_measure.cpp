@@ -1,9 +1,8 @@
-// The shared warmup+repeat harness and the CHASE_TUNE_* option knobs.
+// The shared warmup+repeat harness and the tuner's default probe sizes.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <vector>
 
-#include "common/env.hpp"
 #include "tune/measure.hpp"
 #include "tune/tuner.hpp"
 
@@ -47,64 +46,32 @@ TEST(Measure, RateIsWorkOverBest) {
   EXPECT_GT(rate, 0.0);
 }
 
-class TuneEnvTest : public ::testing::Test {
- protected:
-  void TearDown() override {
-    ::unsetenv("CHASE_TUNE_REPS");
-    ::unsetenv("CHASE_TUNE_WARMUP");
-    ::unsetenv("CHASE_TUNE_RANKS");
-    ::unsetenv("CHASE_TUNE_QUICK");
-  }
-};
-
-TEST_F(TuneEnvTest, DefaultsWhenUnset) {
-  const TuneOptions o = options_from_env();
+TEST(TuneEnvTest, DefaultsWhenUnset) {
+  // What `chase_tune` runs with when no --reps/--warmup/--ranks/--quick
+  // flag is given.
+  const TuneOptions o;
   EXPECT_EQ(o.repeats, 3);
   EXPECT_EQ(o.warmup, 1);
   EXPECT_EQ(o.coll_ranks, 4);
   EXPECT_FALSE(o.quick);
+  EXPECT_FALSE(o.skip_collectives);
 }
 
-TEST_F(TuneEnvTest, ReadsTypedKnobs) {
-  ::setenv("CHASE_TUNE_REPS", "7", 1);
-  ::setenv("CHASE_TUNE_WARMUP", "0", 1);
-  ::setenv("CHASE_TUNE_RANKS", "8", 1);
-  ::setenv("CHASE_TUNE_QUICK", "1", 1);
-  const TuneOptions o = options_from_env();
-  EXPECT_EQ(o.repeats, 7);
-  EXPECT_EQ(o.warmup, 0);
-  EXPECT_EQ(o.coll_ranks, 8);
-  EXPECT_TRUE(o.quick);
-}
-
-TEST_F(TuneEnvTest, InvalidValuesThrowNamingTheVariable) {
-  ::setenv("CHASE_TUNE_REPS", "0", 1);
-  EXPECT_THROW(options_from_env(), env::ConfigError);
-  ::setenv("CHASE_TUNE_REPS", "soon", 1);
-  EXPECT_THROW(options_from_env(), env::ConfigError);
-  ::unsetenv("CHASE_TUNE_REPS");
-
-  ::setenv("CHASE_TUNE_WARMUP", "-1", 1);
-  EXPECT_THROW(options_from_env(), env::ConfigError);
-  ::unsetenv("CHASE_TUNE_WARMUP");
-
-  ::setenv("CHASE_TUNE_QUICK", "banana", 1);
-  EXPECT_THROW(options_from_env(), env::ConfigError);
-}
-
-TEST_F(TuneEnvTest, WithDefaultsFillsOneSizePerClass) {
+TEST(TuneEnvTest, WithDefaultsFillsOneSizePerClass) {
+  // One message size per collective class; one size per kernel rate (the
+  // rates come from the largest probed size).
   TuneOptions o;
   const TuneOptions full = o.with_defaults();
-  EXPECT_EQ(full.gemm_sizes.size(), 3u);
-  EXPECT_EQ(full.factor_sizes.size(), 3u);
+  EXPECT_EQ(full.gemm_sizes.size(), 1u);
+  EXPECT_EQ(full.factor_sizes.size(), 1u);
   EXPECT_EQ(full.coll_bytes.size(), 3u);
   o.quick = true;
   const TuneOptions quick = o.with_defaults();
-  EXPECT_EQ(quick.gemm_sizes.size(), 3u);
+  EXPECT_EQ(quick.gemm_sizes.size(), 1u);
   EXPECT_LT(quick.gemm_sizes.back(), full.gemm_sizes.back());
   // Explicit lists are preserved untouched.
-  o.gemm_sizes = {48};
-  EXPECT_EQ(o.with_defaults().gemm_sizes.size(), 1u);
+  o.gemm_sizes = {48, 96};
+  EXPECT_EQ(o.with_defaults().gemm_sizes, (std::vector<long long>{48, 96}));
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Machine-profile wire format: round-trip, schema/version gating, corrupt
-// input rejection, fingerprint gating, and the deterministic derivation of
-// dispatch tables from a raw measurement log.
+// input rejection, fingerprint gating, v1 profiles that still carry the
+// retired kernel tables, and the deterministic derivation of the tables
+// from a raw measurement log.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -9,8 +10,6 @@
 #include <string>
 
 #include "coll/engine.hpp"
-#include "la/factor/policy.hpp"
-#include "la/gemm_policy.hpp"
 #include "perf/tracker.hpp"
 #include "perf/tuned.hpp"
 #include "tune/profile.hpp"
@@ -25,11 +24,6 @@ MachineProfile sample_profile() {
   p.measurements.push_back({"gemm.d.n96.naive", 1.5e9, "flop/s"});
   p.measurements.push_back({"gemm.d.n96.micro", 6.25e9, "flop/s"});
   p.measurements.push_back({"coll.allreduce.b16384.p4.ring", 1.25e-5, "s"});
-  p.tables.gemm_kernel[int(perf::ScalarTag::kF64)]
-                      [int(perf::NClass::kSmall)] =
-      int(la::GemmKernel::kMicro);
-  p.tables.factor_kernel[int(perf::NClass::kLarge)] =
-      int(la::FactorKernel::kBlocked);
   p.tables.coll_algo[int(perf::CollKind::kAllReduce)]
                     [int(perf::MsgClass::kSmallMsg)] =
       int(coll::Algorithm::kRing);
@@ -60,20 +54,16 @@ TEST_F(ProfileTest, EncodeDecodeRoundTrip) {
   EXPECT_EQ(back->measurements[1].name, "gemm.d.n96.micro");
   EXPECT_DOUBLE_EQ(back->measurements[1].value, 6.25e9);
   EXPECT_EQ(back->measurements[1].unit, "flop/s");
-  EXPECT_EQ(back->tables.gemm_kernel[int(perf::ScalarTag::kF64)]
-                                    [int(perf::NClass::kSmall)],
-            int(la::GemmKernel::kMicro));
-  EXPECT_EQ(back->tables.factor_kernel[int(perf::NClass::kLarge)],
-            int(la::FactorKernel::kBlocked));
   EXPECT_EQ(back->tables.coll_algo[int(perf::CollKind::kAllReduce)]
                                   [int(perf::MsgClass::kSmallMsg)],
             int(coll::Algorithm::kRing));
   EXPECT_EQ(back->tables.chunk_bytes, 128 << 10);
   EXPECT_DOUBLE_EQ(back->tables.gemm_flops, 6.25e9);
+  EXPECT_DOUBLE_EQ(back->tables.factor_flops, 3.5e9);
   EXPECT_DOUBLE_EQ(back->tables.single_speedup, 1.8);
   // Untouched entries stay unset.
-  EXPECT_EQ(back->tables.gemm_kernel[int(perf::ScalarTag::kF32)]
-                                    [int(perf::NClass::kSmall)],
+  EXPECT_EQ(back->tables.coll_algo[int(perf::CollKind::kBroadcast)]
+                                  [int(perf::MsgClass::kSmallMsg)],
             -1);
 }
 
@@ -133,63 +123,169 @@ TEST_F(ProfileTest, RejectsIncompleteFingerprint) {
 }
 
 TEST_F(ProfileTest, UnknownEnumNamesLeaveEntriesUntuned) {
-  // A profile written by a hypothetical newer build with more kernels must
-  // still load here; the unknown entries just stay -1.
+  // A profile written by a hypothetical newer build with more algorithms
+  // must still load here; the unknown entries just stay -1.
   const auto p = decode_profile(
       R"({"schema": "chase.machine_profile", "version": 1,
           "fingerprint": {"host": "h", "cpu": "c", "threads": 4},
           "measurements": [],
-          "tables": {"gemm_kernel": [
-                       {"type": "d", "nclass": "small", "kernel": "warp9"},
-                       {"type": "q", "nclass": "small", "kernel": "micro"},
-                       {"type": "d", "nclass": "large", "kernel": "micro"}],
-                     "factor_kernel": [
-                       {"nclass": "small", "kernel": "gpu"}],
-                     "coll_algo": [
-                       {"kind": "scan", "msgclass": "small", "algo": "ring"}],
+          "tables": {"coll_algo": [
+                       {"kind": "scan", "msgclass": "small", "algo": "ring"},
+                       {"kind": "allreduce", "msgclass": "small",
+                        "algo": "warp9"},
+                       {"kind": "allreduce", "msgclass": "huge",
+                        "algo": "ring"},
+                       {"kind": "allreduce", "msgclass": "large",
+                        "algo": "tree"}],
                      "chunk_bytes": 0,
                      "rates": {}}})");
   ASSERT_TRUE(p.has_value());
-  EXPECT_EQ(p->tables.gemm_kernel[int(perf::ScalarTag::kF64)]
-                                 [int(perf::NClass::kSmall)],
-            -1);
-  EXPECT_EQ(p->tables.gemm_kernel[int(perf::ScalarTag::kF64)]
-                                 [int(perf::NClass::kLarge)],
-            int(la::GemmKernel::kMicro));
-  EXPECT_EQ(p->tables.factor_kernel[int(perf::NClass::kSmall)], -1);
-  for (const auto& row : p->tables.coll_algo) {
-    for (const int v : row) EXPECT_EQ(v, -1);
+  for (int k = 0; k < perf::kCollKindCount; ++k) {
+    for (int c = 0; c < perf::kMsgClassCount; ++c) {
+      const bool known = k == int(perf::CollKind::kAllReduce) &&
+                         c == int(perf::MsgClass::kLargeMsg);
+      EXPECT_EQ(p->tables.coll_algo[k][c],
+                known ? int(coll::Algorithm::kTree) : -1);
+    }
   }
 }
 
 TEST_F(ProfileTest, RetiredBlockedGemmEntryLoadsUntuned) {
-  // Profiles tuned before the `blocked` GEMM kernel was retired still load;
-  // a cell that named it falls back to the default, its neighbours keep
-  // their winners.
-  const auto p = decode_profile(
-      R"({"schema": "chase.machine_profile", "version": 1,
-          "fingerprint": {"host": "h", "cpu": "c", "threads": 4},
-          "measurements": [{"name": "gemm.d.n96.blocked", "value": 3e9}],
-          "tables": {"gemm_kernel": [
-                       {"type": "d", "nclass": "small", "kernel": "blocked"},
-                       {"type": "d", "nclass": "large", "kernel": "micro"}],
-                     "factor_kernel": [
-                       {"nclass": "small", "kernel": "blocked"}],
-                     "chunk_bytes": 0,
-                     "rates": {}}})");
+  // A v1 profile tuned while the GEMM and factorization kernel policies
+  // existed — results/machine_profile.json as committed then: its log also
+  // probed the naive and the since-retired blocked GEMM kernels, and its
+  // tables carry "gemm_kernel" and "factor_kernel" (15 cells). It loads
+  // unchanged: the kernel tables are unread, the collective tables are
+  // installed, and the log re-derives the stored tables and rates.
+  const auto p = decode_profile(R"json({
+  "schema": "chase.machine_profile",
+  "version": 1,
+  "fingerprint": {"host": "vm", "cpu": "Intel(R) Xeon(R) Processor @ 2.70GHz", "threads": 1},
+  "measurements": [
+    {"name": "gemm.f.n64.naive", "value": 2942892104.5836749, "unit": "flop/s"},
+    {"name": "gemm.f.n64.blocked", "value": 18953365627.937241, "unit": "flop/s"},
+    {"name": "gemm.f.n64.micro", "value": 77317209851.054413, "unit": "flop/s"},
+    {"name": "gemm.f.n224.micro", "value": 108681148559.46585, "unit": "flop/s"},
+    {"name": "gemm.f.n672.micro", "value": 92358190894.332901, "unit": "flop/s"},
+    {"name": "gemm.d.n64.naive", "value": 1721782708.2163393, "unit": "flop/s"},
+    {"name": "gemm.d.n64.blocked", "value": 15689259957.506657, "unit": "flop/s"},
+    {"name": "gemm.d.n64.micro", "value": 36535749128.919861, "unit": "flop/s"},
+    {"name": "gemm.d.n224.blocked", "value": 13416026766.583786, "unit": "flop/s"},
+    {"name": "gemm.d.n224.micro", "value": 57304676127.861237, "unit": "flop/s"},
+    {"name": "gemm.d.n672.blocked", "value": 12438294038.338369, "unit": "flop/s"},
+    {"name": "gemm.d.n672.micro", "value": 49025458098.435913, "unit": "flop/s"},
+    {"name": "gemm.c.n64.naive", "value": 6546439831.4343681, "unit": "flop/s"},
+    {"name": "gemm.c.n64.blocked", "value": 7721700197.3548555, "unit": "flop/s"},
+    {"name": "gemm.c.n64.micro", "value": 76008553513.826965, "unit": "flop/s"},
+    {"name": "gemm.c.n224.micro", "value": 109095068752.10054, "unit": "flop/s"},
+    {"name": "gemm.c.n672.micro", "value": 100584235162.00435, "unit": "flop/s"},
+    {"name": "gemm.z.n64.naive", "value": 6531759429.407917, "unit": "flop/s"},
+    {"name": "gemm.z.n64.blocked", "value": 8091582200.5810709, "unit": "flop/s"},
+    {"name": "gemm.z.n64.micro", "value": 40362446591.47773, "unit": "flop/s"},
+    {"name": "gemm.z.n224.micro", "value": 53238963539.625153, "unit": "flop/s"},
+    {"name": "gemm.z.n672.micro", "value": 52317790923.743683, "unit": "flop/s"},
+    {"name": "factor.n96.naive", "value": 7267153752.3255672, "unit": "flop/s"},
+    {"name": "factor.n96.blocked", "value": 8655870504.7584801, "unit": "flop/s"},
+    {"name": "factor.n256.naive", "value": 6504073134.505559, "unit": "flop/s"},
+    {"name": "factor.n256.blocked", "value": 13086356399.133802, "unit": "flop/s"},
+    {"name": "factor.n640.naive", "value": 4483301583.297987, "unit": "flop/s"},
+    {"name": "factor.n640.blocked", "value": 19857894442.70562, "unit": "flop/s"},
+    {"name": "coll.allreduce.b16384.p2.naive", "value": 1.9530000000000001e-05, "unit": "s"},
+    {"name": "coll.allreduce.b16384.p2.ring", "value": 6.9299999999999997e-06, "unit": "s"},
+    {"name": "coll.allreduce.b16384.p2.tree", "value": 1.305e-05, "unit": "s"},
+    {"name": "coll.allreduce.b262144.p2.naive", "value": 8.3926999999999998e-05, "unit": "s"},
+    {"name": "coll.allreduce.b262144.p2.ring", "value": 6.4166999999999997e-05, "unit": "s"},
+    {"name": "coll.allreduce.b262144.p2.tree", "value": 7.8193000000000002e-05, "unit": "s"},
+    {"name": "coll.allreduce.b2097152.p2.naive", "value": 0.0013820880000000001, "unit": "s"},
+    {"name": "coll.allreduce.b2097152.p2.ring", "value": 0.00084148100000000004, "unit": "s"},
+    {"name": "coll.allreduce.b2097152.p2.tree", "value": 0.0010441929999999999, "unit": "s"},
+    {"name": "coll.broadcast.b16384.p2.naive", "value": 1.2167999999999999e-05, "unit": "s"},
+    {"name": "coll.broadcast.b16384.p2.ring", "value": 5.8470000000000001e-06, "unit": "s"},
+    {"name": "coll.broadcast.b16384.p2.tree", "value": 4.2379999999999999e-06, "unit": "s"},
+    {"name": "coll.broadcast.b262144.p2.naive", "value": 1.5277999999999998e-05, "unit": "s"},
+    {"name": "coll.broadcast.b262144.p2.ring", "value": 2.4638e-05, "unit": "s"},
+    {"name": "coll.broadcast.b262144.p2.tree", "value": 2.2259000000000002e-05, "unit": "s"},
+    {"name": "coll.broadcast.b2097152.p2.naive", "value": 0.00018836499999999999, "unit": "s"},
+    {"name": "coll.broadcast.b2097152.p2.ring", "value": 0.00033854499999999999, "unit": "s"},
+    {"name": "coll.broadcast.b2097152.p2.tree", "value": 0.00036047100000000001, "unit": "s"},
+    {"name": "coll.allgather.b16384.p2.naive", "value": 9.4700000000000008e-06, "unit": "s"},
+    {"name": "coll.allgather.b16384.p2.ring", "value": 6.3060000000000003e-06, "unit": "s"},
+    {"name": "coll.allgather.b16384.p2.tree", "value": 4.9520000000000002e-06, "unit": "s"},
+    {"name": "coll.allgather.b262144.p2.naive", "value": 2.1667000000000001e-05, "unit": "s"},
+    {"name": "coll.allgather.b262144.p2.ring", "value": 2.6990000000000001e-05, "unit": "s"},
+    {"name": "coll.allgather.b262144.p2.tree", "value": 4.3534e-05, "unit": "s"},
+    {"name": "coll.allgather.b2097152.p2.naive", "value": 0.00035434300000000002, "unit": "s"},
+    {"name": "coll.allgather.b2097152.p2.ring", "value": 0.00038207399999999999, "unit": "s"},
+    {"name": "coll.allgather.b2097152.p2.tree", "value": 0.0010544459999999999, "unit": "s"},
+    {"name": "chunk.allreduce.b2097152.c16384", "value": 0.00081453000000000005, "unit": "s"},
+    {"name": "chunk.allreduce.b2097152.c65536", "value": 0.00082246499999999998, "unit": "s"},
+    {"name": "chunk.allreduce.b2097152.c262144", "value": 0.00079622799999999995, "unit": "s"}
+  ],
+  "tables": {
+    "gemm_kernel": [
+      {"type": "f", "nclass": "small", "kernel": "micro"},
+      {"type": "f", "nclass": "medium", "kernel": "micro"},
+      {"type": "f", "nclass": "large", "kernel": "micro"},
+      {"type": "d", "nclass": "small", "kernel": "micro"},
+      {"type": "d", "nclass": "medium", "kernel": "micro"},
+      {"type": "d", "nclass": "large", "kernel": "micro"},
+      {"type": "c", "nclass": "small", "kernel": "micro"},
+      {"type": "c", "nclass": "medium", "kernel": "micro"},
+      {"type": "c", "nclass": "large", "kernel": "micro"},
+      {"type": "z", "nclass": "small", "kernel": "micro"},
+      {"type": "z", "nclass": "medium", "kernel": "micro"},
+      {"type": "z", "nclass": "large", "kernel": "micro"}
+    ],
+    "factor_kernel": [
+      {"nclass": "small", "kernel": "blocked"},
+      {"nclass": "medium", "kernel": "blocked"},
+      {"nclass": "large", "kernel": "blocked"}
+    ],
+    "coll_algo": [
+      {"kind": "allreduce", "msgclass": "small", "algo": "ring"},
+      {"kind": "allreduce", "msgclass": "medium", "algo": "ring"},
+      {"kind": "allreduce", "msgclass": "large", "algo": "ring"},
+      {"kind": "broadcast", "msgclass": "small", "algo": "tree"},
+      {"kind": "broadcast", "msgclass": "medium", "algo": "naive"},
+      {"kind": "broadcast", "msgclass": "large", "algo": "naive"},
+      {"kind": "allgather", "msgclass": "small", "algo": "tree"},
+      {"kind": "allgather", "msgclass": "medium", "algo": "naive"},
+      {"kind": "allgather", "msgclass": "large", "algo": "naive"}
+    ],
+    "chunk_bytes": 262144,
+    "rates": {"gemm_flops": 49025458098.435913, "factor_flops": 19857894442.70562, "single_speedup": 1.8838822619238198}
+  }
+})json");
   ASSERT_TRUE(p.has_value());
-  EXPECT_EQ(p->tables.gemm_kernel[int(perf::ScalarTag::kF64)]
-                                 [int(perf::NClass::kSmall)],
-            -1);
-  EXPECT_EQ(p->tables.gemm_kernel[int(perf::ScalarTag::kF64)]
-                                 [int(perf::NClass::kLarge)],
-            int(la::GemmKernel::kMicro));
-  EXPECT_EQ(p->tables.factor_kernel[int(perf::NClass::kSmall)],
-            int(la::FactorKernel::kBlocked));
-  EXPECT_EQ(derive_selections(p->measurements)
-                .gemm_kernel[int(perf::ScalarTag::kF64)]
-                            [int(perf::NClass::kSmall)],
-            -1);
+  EXPECT_EQ(p->measurements.size(), 58u);
+
+  // Its collective tables and chunk size are installed (the fingerprint is
+  // another machine's, so the check is skipped).
+  using coll::Algorithm;
+  const Algorithm stored[perf::kCollKindCount][perf::kMsgClassCount] = {
+      {Algorithm::kRing, Algorithm::kRing, Algorithm::kRing},
+      {Algorithm::kTree, Algorithm::kNaive, Algorithm::kNaive},
+      {Algorithm::kTree, Algorithm::kNaive, Algorithm::kNaive}};
+  ASSERT_TRUE(install_profile(*p, /*check_fingerprint=*/false));
+  const perf::TunedTables* t = perf::tuned_tables();
+  ASSERT_NE(t, nullptr);
+  for (int k = 0; k < perf::kCollKindCount; ++k) {
+    for (int c = 0; c < perf::kMsgClassCount; ++c) {
+      EXPECT_EQ(t->coll_algo[k][c], int(stored[k][c])) << k << "/" << c;
+    }
+  }
+  EXPECT_EQ(t->chunk_bytes, 262144);
+  EXPECT_EQ(coll::algorithm_for(perf::CollKind::kBroadcast, 4096),
+            Algorithm::kTree);
+  EXPECT_EQ(coll::chunk_bytes(), std::size_t(262144));
+
+  // Replay over its measurement log reproduces the stored selections and
+  // rates; the retired kernels' entries do not disturb them.
+  const perf::TunedTables derived = derive_selections(p->measurements);
+  EXPECT_TRUE(same_selections(derived, p->tables));
+  EXPECT_DOUBLE_EQ(derived.gemm_flops, p->tables.gemm_flops);
+  EXPECT_DOUBLE_EQ(derived.factor_flops, p->tables.factor_flops);
+  EXPECT_DOUBLE_EQ(derived.single_speedup, p->tables.single_speedup);
 }
 
 TEST_F(ProfileTest, InstallRejectsForeignFingerprintAndCounts) {
@@ -229,6 +325,8 @@ TEST(DeriveSelections, PicksArgmaxRatesAndArgminSeconds) {
       {"gemm.d.n96.micro", 4e9, "flop/s"},
       {"gemm.d.n700.micro", 8e9, "flop/s"},
       {"gemm.d.n700.blocked", 3e9, "flop/s"},
+      {"gemm.f.n700.micro", 1.6e10, "flop/s"},
+      {"gemm.z.n700.micro", 9e9, "flop/s"},
       {"factor.n96.naive", 2e9, "flop/s"},
       {"factor.n96.blocked", 1e9, "flop/s"},
       {"coll.allreduce.b16384.p4.naive", 2e-5, "s"},
@@ -238,45 +336,44 @@ TEST(DeriveSelections, PicksArgmaxRatesAndArgminSeconds) {
       {"chunk.allreduce.b4194304.c262144", 2e-3, "s"},
   };
   const perf::TunedTables t = derive_selections(log);
-  EXPECT_EQ(t.gemm_kernel[int(perf::ScalarTag::kF64)]
-                         [int(perf::NClass::kSmall)],
-            int(la::GemmKernel::kMicro));
-  EXPECT_EQ(t.gemm_kernel[int(perf::ScalarTag::kF64)]
-                         [int(perf::NClass::kLarge)],
-            int(la::GemmKernel::kMicro));
-  EXPECT_EQ(t.factor_kernel[int(perf::NClass::kSmall)],
-            int(la::FactorKernel::kNaive));
+  // Rates: the best logged at the largest size per domain.
+  EXPECT_DOUBLE_EQ(t.gemm_flops, 8e9);
+  EXPECT_DOUBLE_EQ(t.single_speedup, 2.0);
+  EXPECT_DOUBLE_EQ(t.factor_flops, 2e9);
   EXPECT_EQ(t.coll_algo[int(perf::CollKind::kAllReduce)]
                        [int(perf::MsgClass::kSmallMsg)],
             int(coll::Algorithm::kRing));
   EXPECT_EQ(t.chunk_bytes, 64 << 10);
   // Unmeasured classes stay unset.
-  EXPECT_EQ(t.gemm_kernel[int(perf::ScalarTag::kF64)]
-                         [int(perf::NClass::kMedium)],
+  EXPECT_EQ(t.coll_algo[int(perf::CollKind::kAllReduce)]
+                       [int(perf::MsgClass::kMediumMsg)],
             -1);
-  EXPECT_EQ(t.factor_kernel[int(perf::NClass::kLarge)], -1);
 }
 
 TEST(DeriveSelections, FirstMeasuredWinsTies) {
   std::vector<RawMeasurement> log = {
-      {"gemm.d.n96.naive", 2e9, "flop/s"},
-      {"gemm.d.n96.micro", 2e9, "flop/s"},
+      {"coll.allreduce.b16384.p4.naive", 2e-5, "s"},
+      {"coll.allreduce.b16384.p4.ring", 2e-5, "s"},
   };
   EXPECT_EQ(derive_selections(log)
-                .gemm_kernel[int(perf::ScalarTag::kF64)]
-                            [int(perf::NClass::kSmall)],
-            int(la::GemmKernel::kNaive));
+                .coll_algo[int(perf::CollKind::kAllReduce)]
+                          [int(perf::MsgClass::kSmallMsg)],
+            int(coll::Algorithm::kNaive));
 }
 
 TEST(DeriveSelections, IgnoresMalformedNames) {
   std::vector<RawMeasurement> log = {
       {"gemm.d.naive", 1e9, "flop/s"},          // missing size token
       {"gemm.d.nXY.micro", 1e9, "flop/s"},      // non-numeric size
+      {"factor.n-3.blocked", 1e9, "flop/s"},    // non-numeric size
+      {"coll.allreduce.bXY.p4.ring", 1e-5, "s"},
       {"solve.total", 1.0, "s"},                // foreign domain
       {"", 1.0, "s"},
   };
   const perf::TunedTables t = derive_selections(log);
-  for (const auto& row : t.gemm_kernel) {
+  EXPECT_EQ(t.gemm_flops, 0.0);
+  EXPECT_EQ(t.factor_flops, 0.0);
+  for (const auto& row : t.coll_algo) {
     for (const int v : row) EXPECT_EQ(v, -1);
   }
 }
@@ -290,20 +387,9 @@ TEST(DeriveSelections, ReplayIsDeterministic) {
   };
   const perf::TunedTables a = derive_selections(log);
   const perf::TunedTables b = derive_selections(log);
-  for (int t = 0; t < perf::kScalarTagCount; ++t) {
-    for (int c = 0; c < perf::kNClassCount; ++c) {
-      EXPECT_EQ(a.gemm_kernel[t][c], b.gemm_kernel[t][c]);
-    }
-  }
-  for (int c = 0; c < perf::kNClassCount; ++c) {
-    EXPECT_EQ(a.factor_kernel[c], b.factor_kernel[c]);
-  }
-  for (int k = 0; k < perf::kCollKindCount; ++k) {
-    for (int c = 0; c < perf::kMsgClassCount; ++c) {
-      EXPECT_EQ(a.coll_algo[k][c], b.coll_algo[k][c]);
-    }
-  }
-  EXPECT_EQ(a.chunk_bytes, b.chunk_bytes);
+  EXPECT_TRUE(same_selections(a, b));
+  EXPECT_EQ(a.gemm_flops, b.gemm_flops);
+  EXPECT_EQ(a.factor_flops, b.factor_flops);
   EXPECT_EQ(a.coll_algo[int(perf::CollKind::kBroadcast)]
                        [int(perf::MsgClass::kLargeMsg)],
             int(coll::Algorithm::kTree));
