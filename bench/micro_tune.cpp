@@ -2,15 +2,16 @@
 //
 // Runs an in-process quick tuning pass (tune::run_tuning), persists the
 // profile to results/machine_profile.json, then times the same sequential
-// solve with the tuned tables installed and with no profile, alternating
-// the two. The acceptance signals, emitted to results/bench_tune.json and
-// gated by scripts/compare_bench.py:
+// solve with the profile installed ("tuned": its measured rates calibrate
+// the selection model) and with no profile, alternating the two. The
+// acceptance signals, emitted to results/bench_tune.json and gated by
+// scripts/compare_bench.py:
 //
-//   * tuned <= 1.05x the profile-less solve — consulting the tuned tables
-//     must not tax the hot path;
-//   * replay determinism — derive_selections over the persisted measurement
-//     log must reproduce the persisted tables bit-for-bit, after a save and
-//     load round trip.
+//   * tuned <= 1.05x the profile-less solve — a loaded profile must not tax
+//     the hot path;
+//   * replay determinism — derive_rates over the persisted measurement log
+//     must reproduce the persisted rates bit-for-bit, after a save and load
+//     round trip.
 //
 // `--schema <path>` instead validates an existing profile JSON (schema,
 // version, structure and the replay invariant) without benchmarking:
@@ -40,10 +41,9 @@ int schema_check(const char* path) {
     std::fprintf(stderr, "%s: invalid profile: %s\n", path, error.c_str());
     return 1;
   }
-  if (!tune::same_selections(p->tables,
-                             tune::derive_selections(p->measurements))) {
+  if (p->rates != tune::derive_rates(p->measurements)) {
     std::fprintf(stderr,
-                 "%s: stored tables do not match the measurement log "
+                 "%s: stored rates do not match the measurement log "
                  "(replay invariant violated)\n",
                  path);
     return 1;
@@ -70,11 +70,7 @@ int main(int argc, char** argv) {
   // ---- tune (quick sizes: the probes, not the solve, dominate otherwise)
   tune::TuneOptions opts;
   opts.quick = true;
-  opts.coll_ranks = 2;
-  if (quick) {
-    opts.repeats = 1;
-    opts.skip_collectives = true;
-  }
+  if (quick) opts.repeats = 1;
   std::printf("tuning (quick probe sizes, %d repeat%s)...\n", opts.repeats,
               opts.repeats == 1 ? "" : "s");
   const tune::MachineProfile profile = tune::run_tuning(opts);
@@ -89,11 +85,11 @@ int main(int argc, char** argv) {
   }
 
   // Replay determinism, through the persisted file: load it back and
-  // re-derive the tables from the recorded measurement log alone.
+  // re-derive the rates from the recorded measurement log alone.
   bool replay_deterministic = false;
   if (const auto back = tune::load_profile(profile_path, &error)) {
-    replay_deterministic = tune::same_selections(
-        back->tables, tune::derive_selections(back->measurements));
+    replay_deterministic =
+        back->rates == tune::derive_rates(back->measurements);
   } else {
     std::fprintf(stderr, "round-trip load failed: %s\n", error.c_str());
   }

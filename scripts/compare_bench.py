@@ -72,16 +72,17 @@ Hierarchy invariants (results/bench_hierarchy.json, hard failures):
     when the hierarchy wins.
 
 Autotuner invariants (results/bench_tune.json, hard failures):
-  * the tuned end-to-end solve above 1.05x the profile-less solve — the
-    tuned tables must not tax the hot path;
-  * replay not deterministic — derive_selections over the persisted
-    measurement log must reproduce the persisted tables bit-for-bit.
+  * the end-to-end solve with the profile loaded above 1.05x the
+    profile-less solve — a loaded profile must not tax the hot path;
+  * replay not deterministic — derive_rates over the persisted
+    measurement log must reproduce the persisted rates bit-for-bit.
 
 `--schema <profile.json>` instead validates a persisted machine profile
 (schema tag, version, fingerprint and table shapes) without benchmarking.
-The kernel tables of v1 profiles ("gemm_kernel", "factor_kernel") are
-optional: profiles written since the kernel policies were retired omit
-them.
+Only `tables.rates` is required. The collective and kernel tables of v1
+profiles ("coll_algo", "chunk_bytes", "gemm_kernel", "factor_kernel") are
+optional and checked for shape when present: profiles written since those
+tables were retired omit them.
 
 Informational: the hemm-vs-gemm median ratios, staged-vs-seed ratios below
 parity (the staged engine being faster is fine), and the wall-clock cost of
@@ -300,8 +301,8 @@ def check_tune(data: dict, failures: list) -> None:
             "not tax the hot path)")
     if not t["replay_deterministic"]:
         failures.append(
-            "profile replay is not deterministic — derive_selections over "
-            "the persisted measurement log diverged from the stored tables")
+            "profile replay is not deterministic — derive_rates over "
+            "the persisted measurement log diverged from the stored rates")
 
 
 PROFILE_SCHEMA = "chase.machine_profile"
@@ -341,12 +342,10 @@ def check_profile_schema(path: str) -> int:
     if not isinstance(tables, dict):
         problems.append("tables must be an object")
     else:
-        if not isinstance(tables.get("coll_algo"), list):
-            problems.append("tables.coll_algo must be an array")
-        for key in ("gemm_kernel", "factor_kernel"):
+        for key in ("coll_algo", "gemm_kernel", "factor_kernel"):
             if key in tables and not isinstance(tables[key], list):
                 problems.append(f"tables.{key} must be an array")
-        chunk = tables.get("chunk_bytes")
+        chunk = tables.get("chunk_bytes", 0)
         if not isinstance(chunk, (int, float)) or chunk < 0:
             problems.append("tables.chunk_bytes must be a non-negative "
                             "number")

@@ -99,20 +99,19 @@ const char* chase_get_precision(void);
 /* ---- Runtime autotuner profiles (src/tune) ----
  *
  * chase_profile_load reads a `chase_tune` machine profile (versioned JSON)
- * from `path`, schema- and fingerprint-checks it, and installs its tables
- * process-wide: subsequent solves draw collective algorithms and the
- * pipelining chunk size from the tuned per-class tables, and the QR
- * selector's machine model takes the measured GEMM/factorization rates.
- * CHASE_COLL_ALGO / CHASE_COLL_CHUNK_BYTES still beat the profile
- * (env > profile > built-in default). Equivalent to exporting
- * CHASE_PROFILE=path before the first solve.
+ * from `path`, schema- and fingerprint-checks it, and installs its measured
+ * GEMM/factorization rates process-wide: they calibrate the machine model
+ * that prices the QR variant selector and CHASE_COLL_ALGO=auto. The
+ * collective algorithm and chunk size themselves stay with
+ * CHASE_COLL_ALGO / CHASE_COLL_CHUNK_BYTES and their built-in defaults.
+ * Equivalent to exporting CHASE_PROFILE=path before the first solve.
  * Returns CHASE_SUCCESS, CHASE_INVALID_ARGUMENT for a NULL/empty path, or
  * CHASE_PROFILE_REJECTED when the file is unreadable, fails schema/version
  * validation, or was measured on a different machine. */
 int chase_profile_load(const char* path);
 
-/* Remove any installed profile; subsequent solves fall back to the
- * built-in default policies. */
+/* Remove any installed profile; subsequent solves price with the
+ * built-in machine model. */
 void chase_profile_unload(void);
 
 /* ---- Batched multi-tenant solver service (src/svc) ----

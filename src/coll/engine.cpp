@@ -5,7 +5,6 @@
 
 #include "perf/cost_model.hpp"
 #include "perf/machine.hpp"
-#include "perf/tuned.hpp"
 
 namespace chase::coll {
 
@@ -35,20 +34,9 @@ perf::CollAlgo cheapest(perf::CollKind kind, std::size_t bytes, int nranks,
 
 }  // namespace
 
-Algorithm algorithm_for(perf::CollKind kind, std::size_t bytes) {
-  const perf::TunedTables* t = perf::tuned_tables();
-  if (t == nullptr) return algorithm_policy.resolve();
-  return algorithm_policy.resolve(
-      t->coll_algo[int(kind)][int(perf::msg_class(bytes))]);
-}
-
 std::size_t chunk_bytes() {
   const long long raw = chunk_knob.raw();
-  if (raw != policy::kNone) return std::size_t(raw);
-  if (const perf::TunedTables* t = perf::tuned_tables()) {
-    if (t->chunk_bytes > 0) return std::size_t(t->chunk_bytes);
-  }
-  return kDefaultChunkBytes;
+  return raw != policy::kNone ? std::size_t(raw) : kDefaultChunkBytes;
 }
 
 perf::CollAlgo select(perf::CollKind kind, std::size_t bytes, int nranks,
@@ -70,7 +58,7 @@ perf::CollAlgo select(perf::CollKind kind, std::size_t bytes, int nranks,
                             ? CollAlgo::kRabenseifner
                             : CollAlgo::kBruck;
   const bool grouped = topo.grouped();
-  switch (algorithm_for(kind, bytes)) {
+  switch (algorithm()) {
     case Algorithm::kNaive:
       return CollAlgo::kNaiveAlgo;
     case Algorithm::kRing:

@@ -44,18 +44,15 @@ inline std::string_view algorithm_name(Algorithm a) {
 inline std::optional<Algorithm> parse_algorithm(std::string_view name) {
   return algorithm_policy.parse(name);
 }
-/// Size-oblivious effective policy: the override, else the default.
+/// Effective policy: the override, else the default.
 inline Algorithm algorithm() { return algorithm_policy.resolve(); }
-
-/// Policy for one collective call; `bytes` follows the Tracker convention.
-Algorithm algorithm_for(perf::CollKind kind, std::size_t bytes);
 
 /// CHASE_COLL_CHUNK_BYTES knob (strictly positive).
 inline constinit policy::Knob chunk_knob{"CHASE_COLL_CHUNK_BYTES",
                                          policy::positive};
 
-/// Pipelining granularity in bytes (>= 1): override > machine-profile
-/// chunk_bytes > built-in 64 KiB default.
+/// Pipelining granularity in bytes (>= 1): the CHASE_COLL_CHUNK_BYTES /
+/// ScopedChunkBytes override, else the built-in 64 KiB default.
 std::size_t chunk_bytes();
 
 class ScopedChunkBytes : public policy::Scoped {

@@ -5,9 +5,7 @@
 // at first read. The enum-valued policies (collective algorithm, solve
 // precision) resolve as
 //
-//   explicit override (the env var, or a Scoped guard)
-//     > loaded machine-profile entry (perf::tuned_tables(), when >= 0)
-//     > built-in default,
+//   explicit override (the env var, or a Scoped guard) > built-in default,
 //
 // and the integer knobs (collective chunk bytes, checkpoint interval, ABFT)
 // use the same slot and guard with their own fallback. Reading a slot is one
@@ -108,11 +106,10 @@ class Policy final : public Slot {
     env::reject(env_var(), text, "unknown policy", expected);
   }
 
-  /// override > `tuned` profile entry (when >= 0) > built-in default.
-  E resolve(int tuned = -1) const {
+  /// override > built-in default.
+  E resolve() const {
     const long long v = raw();
-    if (v != kNone) return E(v);
-    return tuned >= 0 ? E(tuned) : fallback_;
+    return v != kNone ? E(v) : fallback_;
   }
 
  private:

@@ -79,9 +79,10 @@ ChaseResult<T> solve(HOp& h, const ChaseConfig& cfg,
   CHASE_CHECK_MSG(cfg.nev > 0 && ne <= h.global_size(), "invalid nev/nex");
   CHASE_CHECK_MSG(cfg.initial_degree >= 2, "invalid initial degree");
 
-  // Resolve the autotuning profile (CHASE_PROFILE / CHASE_TUNE_REPLAY, once
-  // per process) and record per-domain policy provenance for this solve.
-  tune::resolve_at_solve_start();
+  // Load the machine profile named by CHASE_PROFILE (once per process): its
+  // measured rates calibrate the selection model the QR selector and
+  // CHASE_COLL_ALGO=auto price with.
+  tune::ensure_profile_from_env();
 
   // Backend selection: the CHASE_PRECISION policy swaps in the
   // mixed-precision backend (fp32 filtering, fp64 everything else) when the

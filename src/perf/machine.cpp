@@ -1,13 +1,13 @@
 #include "perf/machine.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <memory>
 #include <mutex>
 #include <vector>
 
 #include "perf/tracker.hpp"
-#include "perf/tuned.hpp"
 
 namespace chase::perf {
 
@@ -15,7 +15,8 @@ namespace {
 
 // The selection model is read per collective-select call from rank threads
 // and replaced rarely (profile load / recalibration); published through an
-// atomic pointer with retired old copies, like the tuned tables.
+// atomic pointer whose replaced copies are retired, never freed, because a
+// rank thread may still be reading one.
 struct SelectionSlot {
   std::atomic<const MachineModel*> current{nullptr};
   std::mutex mu;
@@ -76,10 +77,11 @@ void MachineModel::calibrate_single(const Tracker& t, double min_seconds) {
   }
 }
 
-void MachineModel::calibrate_from_tables(const TunedTables& t) {
-  if (t.gemm_flops > 0) gemm_flops = t.gemm_flops;
-  if (t.factor_flops > 0) factor_flops = t.factor_flops;
-  if (t.single_speedup > 0) single_speedup = std::max(1.0, t.single_speedup);
+void MachineModel::calibrate_from_profile(double gemm, double factor,
+                                          double single) {
+  if (gemm > 0) gemm_flops = gemm;
+  if (factor > 0) factor_flops = factor;
+  if (single > 0) single_speedup = std::max(1.0, single);
 }
 
 MachineModel selection_model() {

@@ -15,7 +15,6 @@
 namespace chase::perf {
 
 class Tracker;
-struct TunedTables;
 
 struct MachineModel {
   // --- per-GPU computation (double precision, effective) ---
@@ -124,18 +123,18 @@ struct MachineModel {
   void calibrate_single(const Tracker& t, double min_seconds = 1e-3);
 
   /// Replace the effective rates with the measured rates of a loaded machine
-  /// profile (perf::TunedTables, installed by tune::install_profile): the
-  /// double GEMM rate, the pooled factorization rate, and the fp32 speedup.
-  /// Unset (zero) table rates leave the corresponding default untouched —
-  /// the same contract as the counter-based calibrate_* routines.
-  void calibrate_from_tables(const TunedTables& t);
+  /// profile (tune::install_profile): the double GEMM rate, the pooled
+  /// factorization rate, and the fp32 speedup. Unset (zero) rates leave the
+  /// corresponding default untouched — the same contract as the
+  /// counter-based calibrate_* routines.
+  void calibrate_from_profile(double gemm, double factor, double single);
 };
 
 /// The process-global MachineModel that prices runtime *selections*: the
 /// coll::select auto policy and qr::modeled_qr_seconds both read it, so the
 /// cost models and the loaded machine profile share one source of truth.
 /// Defaults to the built-in A100 description; tune::install_profile refreshes
-/// it via calibrate_from_tables. Returned by value (a couple dozen doubles)
+/// it via calibrate_from_profile. Returned by value (a couple dozen doubles)
 /// from an atomically published slot — safe to call from rank threads.
 MachineModel selection_model();
 

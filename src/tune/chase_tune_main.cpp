@@ -1,52 +1,31 @@
-// chase_tune: probe this machine once, persist the winners.
+// chase_tune: probe this machine once, persist the measured rates.
 //
-//   chase_tune [--out <path>] [--quick] [--reps N] [--warmup N] [--ranks P]
-//              [--kernels-only] [--check <path>]
+//   chase_tune [--out <path>] [--quick] [--reps N] [--warmup N]
+//              [--check <path>]
 //
 // Runs the autotuner (src/tune/tuner.hpp) and writes the machine profile
 // JSON to --out (default: $CHASE_PROFILE when set, else
 // machine_profile.json). Point CHASE_PROFILE at the written file and every
-// subsequent solve dispatches its collectives from the tuned tables and
-// calibrates its machine model from the measured rates; CHASE_COLL_ALGO /
-// CHASE_COLL_CHUNK_BYTES still win per the precedence contract.
+// subsequent solve calibrates its selection machine model (the cost model
+// behind CHASE_COLL_ALGO=auto and the QR variant selector) from the
+// measured rates.
 //
 // --check validates an existing profile instead of tuning: schema/version,
-// fingerprint-vs-this-host, and that the stored tables match what
-// derive_selections re-derives from the recorded measurements (the replay
-// invariant). Exit 0 iff all three hold.
+// fingerprint-vs-this-host, and that the stored rates match what
+// derive_rates re-derives from the recorded measurements (the replay
+// invariant). Exit 0 iff all three hold. A malformed flag or flag value
+// prints the reason and the usage line to stderr and exits 2.
 #include <cstdio>
 #include <cstring>
 #include <string>
 
-#include "coll/engine.hpp"
 #include "common/env.hpp"
-#include "perf/tuned.hpp"
 #include "tune/profile.hpp"
 #include "tune/tuner.hpp"
 
 namespace {
 
 using namespace chase;
-
-void print_tables(const perf::TunedTables& t) {
-  std::printf("tuned dispatch tables:\n");
-  for (int k = 0; k < perf::kCollKindCount; ++k) {
-    for (int c = 0; c < perf::kMsgClassCount; ++c) {
-      const int a = t.coll_algo[k][c];
-      if (a < 0) continue;
-      std::printf("  coll   %-9s %-7s -> %s\n",
-                  perf::coll_kind_name(perf::CollKind(k)),
-                  perf::msg_class_name(perf::MsgClass(c)),
-                  coll::algorithm_name(coll::Algorithm(a)).data());
-    }
-  }
-  if (t.chunk_bytes > 0) {
-    std::printf("  chunk_bytes -> %lld\n", t.chunk_bytes);
-  }
-  std::printf("  rates: gemm %.3g flop/s, factor %.3g flop/s, fp32 speedup "
-              "%.2fx\n",
-              t.gemm_flops, t.factor_flops, t.single_speedup);
-}
 
 int check_profile(const std::string& path) {
   std::string error;
@@ -64,10 +43,9 @@ int check_profile(const std::string& path) {
                  p->fingerprint.host.c_str());
     ++failures;
   }
-  if (!tune::same_selections(p->tables,
-                             tune::derive_selections(p->measurements))) {
+  if (p->rates != tune::derive_rates(p->measurements)) {
     std::fprintf(stderr,
-                 "chase_tune --check: stored tables do not match the "
+                 "chase_tune --check: stored rates do not match the "
                  "measurement log (replay invariant violated)\n");
     ++failures;
   }
@@ -81,7 +59,7 @@ int check_profile(const std::string& path) {
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--out <path>] [--quick] [--reps N] [--warmup N] "
-               "[--ranks P] [--kernels-only] [--check <path>]\n",
+               "[--check <path>]\n",
                argv0);
   return 2;
 }
@@ -94,25 +72,26 @@ int main(int argc, char** argv) {
   if (const auto env = env::text_env("CHASE_PROFILE")) out_path = *env;
   if (out_path.empty()) out_path = "machine_profile.json";
 
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--check") == 0 && i + 1 < argc) {
-      return check_profile(argv[++i]);
-    } else if (std::strcmp(arg, "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (std::strcmp(arg, "--quick") == 0) {
-      opts.quick = true;
-    } else if (std::strcmp(arg, "--kernels-only") == 0) {
-      opts.skip_collectives = true;
-    } else if (std::strcmp(arg, "--reps") == 0 && i + 1 < argc) {
-      opts.repeats = int(env::ranged_int("--reps", argv[++i], 1, 1000));
-    } else if (std::strcmp(arg, "--warmup") == 0 && i + 1 < argc) {
-      opts.warmup = int(env::ranged_int("--warmup", argv[++i], 0, 1000));
-    } else if (std::strcmp(arg, "--ranks") == 0 && i + 1 < argc) {
-      opts.coll_ranks = int(env::ranged_int("--ranks", argv[++i], 2, 256));
-    } else {
-      return usage(argv[0]);
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const char* arg = argv[i];
+      if (std::strcmp(arg, "--check") == 0 && i + 1 < argc) {
+        return check_profile(argv[++i]);
+      } else if (std::strcmp(arg, "--out") == 0 && i + 1 < argc) {
+        out_path = argv[++i];
+      } else if (std::strcmp(arg, "--quick") == 0) {
+        opts.quick = true;
+      } else if (std::strcmp(arg, "--reps") == 0 && i + 1 < argc) {
+        opts.repeats = int(env::ranged_int("--reps", argv[++i], 1, 1000));
+      } else if (std::strcmp(arg, "--warmup") == 0 && i + 1 < argc) {
+        opts.warmup = int(env::ranged_int("--warmup", argv[++i], 0, 1000));
+      } else {
+        return usage(argv[0]);
+      }
     }
+  } catch (const env::ConfigError& e) {
+    std::fprintf(stderr, "chase_tune: %s\n", e.what());
+    return usage(argv[0]);
   }
 
   std::printf("chase_tune: probing this machine (%s mode, %d warmup + %d "
@@ -123,7 +102,10 @@ int main(int argc, char** argv) {
               profile.fingerprint.host.c_str(),
               profile.fingerprint.cpu.c_str(), profile.fingerprint.threads);
   std::printf("%zu measurements recorded\n", profile.measurements.size());
-  print_tables(profile.tables);
+  std::printf("measured rates: gemm %.3g flop/s, factor %.3g flop/s, fp32 "
+              "speedup %.2fx\n",
+              profile.rates.gemm_flops, profile.rates.factor_flops,
+              profile.rates.single_speedup);
 
   std::string error;
   if (!tune::save_profile(profile, out_path, &error)) {

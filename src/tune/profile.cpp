@@ -7,7 +7,6 @@
 #include <sstream>
 #include <thread>
 
-#include "coll/engine.hpp"
 #include "perf/machine.hpp"
 #include "perf/tracker.hpp"
 #include "tune/json.hpp"
@@ -32,13 +31,6 @@ void bump_rejected() {
 }
 
 }  // namespace
-
-double MachineProfile::measurement(std::string_view name) const {
-  for (const RawMeasurement& m : measurements) {
-    if (m.name == name) return m.value;
-  }
-  return 0;
-}
 
 Fingerprint local_fingerprint() {
   Fingerprint fp;
@@ -85,31 +77,12 @@ std::string encode_profile(const MachineProfile& p) {
     out += json::quote(m.unit);
     out += "}";
   }
-  out += "\n  ],\n  \"tables\": {\n    \"coll_algo\": [";
-  bool first = true;
-  for (int k = 0; k < perf::kCollKindCount; ++k) {
-    for (int c = 0; c < perf::kMsgClassCount; ++c) {
-      const int a = p.tables.coll_algo[k][c];
-      if (a < 0) continue;
-      out += first ? "\n" : ",\n";
-      first = false;
-      out += "      {\"kind\": ";
-      out += json::quote(perf::coll_kind_name(perf::CollKind(k)));
-      out += ", \"msgclass\": ";
-      out += json::quote(perf::msg_class_name(perf::MsgClass(c)));
-      out += ", \"algo\": ";
-      out += json::quote(coll::algorithm_name(coll::Algorithm(a)));
-      out += "}";
-    }
-  }
-  out += "\n    ],\n    \"chunk_bytes\": ";
-  append_number(out, double(p.tables.chunk_bytes));
-  out += ",\n    \"rates\": {\"gemm_flops\": ";
-  append_number(out, p.tables.gemm_flops);
+  out += "\n  ],\n  \"tables\": {\n    \"rates\": {\"gemm_flops\": ";
+  append_number(out, p.rates.gemm_flops);
   out += ", \"factor_flops\": ";
-  append_number(out, p.tables.factor_flops);
+  append_number(out, p.rates.factor_flops);
   out += ", \"single_speedup\": ";
-  append_number(out, p.tables.single_speedup);
+  append_number(out, p.rates.single_speedup);
   out += "}\n  }\n}\n";
   return out;
 }
@@ -159,30 +132,11 @@ std::optional<MachineProfile> decode_profile(std::string_view text,
 
   const json::Value* tables = doc->get("tables");
   if (tables == nullptr || !tables->is_object()) return fail("missing tables");
-  if (const json::Value* a = tables->get("coll_algo")) {
-    if (!a->is_array()) return fail("tables.coll_algo is not an array");
-    for (const json::Value& e : *a->array) {
-      if (!e.is_object()) return fail("malformed coll_algo entry");
-      const int k = perf::parse_class(e.get_string("kind").value_or(""),
-                                      perf::coll_kind_name,
-                                      perf::kCollKindCount);
-      const int c = perf::parse_class(e.get_string("msgclass").value_or(""),
-                                      perf::msg_class_name,
-                                      perf::kMsgClassCount);
-      const auto algo =
-          coll::parse_algorithm(e.get_string("algo").value_or(""));
-      if (k < 0 || c < 0 || !algo) continue;  // unknown name: leave untuned
-      p.tables.coll_algo[k][c] = int(*algo);
-    }
-  }
-  const double chunk = tables->get_number("chunk_bytes").value_or(0);
-  if (chunk < 0) return fail("negative chunk_bytes");
-  p.tables.chunk_bytes = (long long)(chunk);
   if (const json::Value* rates = tables->get("rates")) {
     if (!rates->is_object()) return fail("tables.rates is not an object");
-    p.tables.gemm_flops = rates->get_number("gemm_flops").value_or(0);
-    p.tables.factor_flops = rates->get_number("factor_flops").value_or(0);
-    p.tables.single_speedup = rates->get_number("single_speedup").value_or(0);
+    p.rates.gemm_flops = rates->get_number("gemm_flops").value_or(0);
+    p.rates.factor_flops = rates->get_number("factor_flops").value_or(0);
+    p.rates.single_speedup = rates->get_number("single_speedup").value_or(0);
   }
   return p;
 }
@@ -220,16 +174,13 @@ bool install_profile(const MachineProfile& p, bool check_fingerprint) {
     bump_rejected();
     return false;
   }
-  perf::set_tuned_tables(p.tables);
   perf::MachineModel model;  // built-in defaults for everything unmeasured
-  model.calibrate_from_tables(p.tables);
+  model.calibrate_from_profile(p.rates.gemm_flops, p.rates.factor_flops,
+                               p.rates.single_speedup);
   perf::set_selection_model(model);
   return true;
 }
 
-void uninstall_profile() {
-  perf::clear_tuned_tables();
-  perf::reset_selection_model();
-}
+void uninstall_profile() { perf::reset_selection_model(); }
 
 }  // namespace chase::tune

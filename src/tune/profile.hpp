@@ -2,32 +2,27 @@
 //
 // A MachineProfile is what `chase_tune` persists and what CHASE_PROFILE
 // loads at solve start: the machine fingerprint the measurements were taken
-// on, the raw measurement log (every kernel and algorithm probed, so the
-// tables can be re-derived deterministically without re-benchmarking —
-// CHASE_TUNE_REPLAY), and the derived tables in the low-level
-// perf::TunedTables form the coll policy layer and the machine model
-// consume.
+// on, the raw measurement log (every probe, so the rates can be re-derived
+// deterministically without re-benchmarking — `chase_tune --check`), and
+// the measured machine rates that calibrate the selection MachineModel
+// (perf::selection_model), the one model behind CHASE_COLL_ALGO=auto and
+// the QR variant selector.
 //
 // The JSON wire format is schema- and version-checked:
 //
 //   {"schema": "chase.machine_profile", "version": 1,
 //    "fingerprint": {"host": "...", "cpu": "...", "threads": N},
-//    "measurements": [{"name": "gemm.d.n384.micro",
+//    "measurements": [{"name": "gemm.d.n768.micro",
 //                      "value": 1.23e9, "unit": "flop/s"}, ...],
-//    "tables": {"coll_algo":     [{"kind": "allreduce", "msgclass": "small",
-//                                  "algo": "ring"}, ...],
-//               "chunk_bytes": 65536,
-//               "rates": {"gemm_flops": ..., "factor_flops": ...,
+//    "tables": {"rates": {"gemm_flops": ..., "factor_flops": ...,
 //                         "single_speedup": ...}}}
 //
 // decode_profile rejects unknown schemas, future versions, and malformed
 // documents outright (the caller falls back to built-in defaults and bumps
-// "tune.profile.rejected"); unknown *enum names* inside the tables merely
-// leave that entry untuned, so a profile written by a newer build with more
-// algorithms still loads on an older one. Every table key is optional and
-// unknown keys are ignored: v1 profiles written before the GEMM and
-// factorization kernel policies were retired still carry "gemm_kernel" and
-// "factor_kernel" tables, and load with those tables unread.
+// "tune.profile.rejected"). Every table key is optional and unknown keys
+// are ignored: v1 profiles written before the collective and kernel tables
+// were retired still carry "coll_algo", "chunk_bytes", "gemm_kernel" and
+// "factor_kernel", and load with those tables unread.
 #pragma once
 
 #include <optional>
@@ -35,14 +30,12 @@
 #include <string_view>
 #include <vector>
 
-#include "perf/tuned.hpp"
-
 namespace chase::tune {
 
 inline constexpr const char* kProfileSchema = "chase.machine_profile";
 inline constexpr int kProfileVersion = 1;
 
-/// Identity of the machine a profile was measured on. Tuned tables are
+/// Identity of the machine a profile was measured on. Measured rates are
 /// meaningless on different hardware, so install is gated on a match.
 struct Fingerprint {
   std::string host;
@@ -66,13 +59,19 @@ struct RawMeasurement {
   std::string unit;
 };
 
+/// The measured machine rates a profile carries (0 = unset).
+struct ProfileRates {
+  double gemm_flops = 0;      // double GEMM engine, one core (flop/s)
+  double factor_flops = 0;    // factorization engine, one core (flop/s)
+  double single_speedup = 0;  // fp32 / fp64 GEMM rate ratio
+
+  bool operator==(const ProfileRates&) const = default;
+};
+
 struct MachineProfile {
   Fingerprint fingerprint;
   std::vector<RawMeasurement> measurements;
-  perf::TunedTables tables;
-
-  /// Lookup in the raw measurement log; 0 when absent.
-  double measurement(std::string_view name) const;
+  ProfileRates rates;
 };
 
 /// Serialize to the versioned JSON document above.
@@ -89,10 +88,9 @@ bool save_profile(const MachineProfile& p, const std::string& path,
 std::optional<MachineProfile> load_profile(const std::string& path,
                                            std::string* error = nullptr);
 
-/// Install `p` process-wide: publish the dispatch tables
-/// (perf::set_tuned_tables) and recalibrate the selection MachineModel from
-/// the measured rates. Skips (returns false, bumps "tune.profile.rejected")
-/// when `check_fingerprint` and the profile was measured elsewhere.
+/// Install `p` process-wide: recalibrate the selection MachineModel from its
+/// measured rates. Skips (returns false, bumps "tune.profile.rejected") when
+/// `check_fingerprint` and the profile was measured elsewhere.
 bool install_profile(const MachineProfile& p, bool check_fingerprint = true);
 
 /// Remove any installed profile: consumers fall back to built-in defaults.

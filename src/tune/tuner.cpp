@@ -1,12 +1,9 @@
 #include "tune/tuner.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <string>
 #include <vector>
 
-#include "coll/engine.hpp"
-#include "comm/communicator.hpp"
 #include "common/rng.hpp"
 #include "la/gemm.hpp"
 #include "la/parallel.hpp"
@@ -88,89 +85,7 @@ void probe_factor(const TuneOptions& opts, std::vector<RawMeasurement>& out) {
   }
 }
 
-// --- collective probes: coll.<kind>.b<bytes>.p<ranks>.<algo> = seconds ---
-
-double time_collective(perf::CollKind kind, int p, std::size_t bytes,
-                       const TuneOptions& opts) {
-  const Index count = Index(std::max<std::size_t>(1, bytes / sizeof(double)));
-  double per_op = 0;
-  comm::Team team(p);
-  team.run([&](comm::Communicator& comm) {
-    // `bytes` follows the Tracker convention: total gathered payload for
-    // allgather, per-rank payload otherwise.
-    const Index send = kind == perf::CollKind::kAllGather
-                           ? std::max<Index>(1, count / p)
-                           : count;
-    std::vector<double> x(std::size_t(send), double(comm.rank() + 1));
-    std::vector<double> recv;
-    if (kind == perf::CollKind::kAllGather) {
-      recv.resize(std::size_t(send) * std::size_t(p));
-    }
-    const auto once = [&] {
-      switch (kind) {
-        case perf::CollKind::kAllReduce:
-          comm.all_reduce(x.data(), send);
-          break;
-        case perf::CollKind::kBroadcast:
-          comm.broadcast(x.data(), send, 0);
-          break;
-        case perf::CollKind::kAllGather:
-          comm.all_gather(x.data(), send, recv.data());
-          break;
-      }
-      comm.barrier();
-    };
-    const Measurement m = measure(opts.warmup, opts.repeats, once);
-    if (comm.rank() == 0) per_op = m.best;
-  });
-  return per_op;
-}
-
-void probe_collectives(const TuneOptions& opts,
-                       std::vector<RawMeasurement>& out) {
-  constexpr perf::CollKind kKinds[] = {perf::CollKind::kAllReduce,
-                                       perf::CollKind::kBroadcast,
-                                       perf::CollKind::kAllGather};
-  // Policies probed in enum order (the tie-break order of the replay).
-  constexpr coll::Algorithm kAlgos[] = {coll::Algorithm::kNaive,
-                                        coll::Algorithm::kRing,
-                                        coll::Algorithm::kTree};
-  const int p = std::max(2, opts.coll_ranks);
-  // Pin the chunk size during the algorithm race so the two sweeps stay
-  // independent (the chunk sweep below varies it with the ring pinned).
-  for (const perf::CollKind kind : kKinds) {
-    for (const std::size_t bytes : opts.coll_bytes) {
-      for (const coll::Algorithm algo : kAlgos) {
-        coll::ScopedAlgorithm scoped(algo);
-        coll::ScopedChunkBytes chunk(std::size_t(64) << 10);
-        const double sec = time_collective(kind, p, bytes, opts);
-        out.push_back({std::string("coll.") + perf::coll_kind_name(kind) + "." +
-                           size_token("b", (long long)(bytes)) + "." +
-                           size_token("p", p) + "." +
-                           std::string(coll::algorithm_name(algo)),
-                       sec, "s"});
-      }
-    }
-  }
-  // Chunk-bytes sweep: the largest allreduce payload under the ring policy,
-  // the path the chunk size actually pipelines.
-  if (!opts.coll_bytes.empty() && !opts.chunk_candidates.empty()) {
-    const std::size_t bytes =
-        *std::max_element(opts.coll_bytes.begin(), opts.coll_bytes.end());
-    for (const std::size_t chunk : opts.chunk_candidates) {
-      coll::ScopedAlgorithm scoped(coll::Algorithm::kRing);
-      coll::ScopedChunkBytes chunk_scope(chunk);
-      const double sec =
-          time_collective(perf::CollKind::kAllReduce, p, bytes, opts);
-      out.push_back({std::string("chunk.allreduce.") +
-                         size_token("b", (long long)(bytes)) + "." +
-                         size_token("c", (long long)(chunk)),
-                     sec, "s"});
-    }
-  }
-}
-
-// --- measurement-name parsing for derive_selections ----------------------
+// --- measurement-name parsing for derive_rates ---------------------------
 
 std::vector<std::string> split_dots(const std::string& s) {
   std::vector<std::string> out;
@@ -204,20 +119,6 @@ TuneOptions TuneOptions::with_defaults() const {
   // One kernel size each: the rates come from the largest probed size.
   if (o.gemm_sizes.empty()) o.gemm_sizes = {o.quick ? 672 : 768};
   if (o.factor_sizes.empty()) o.factor_sizes = {o.quick ? 640 : 768};
-  if (o.coll_bytes.empty()) {
-    // One per message-size class (boundaries 64 KiB / 1 MiB).
-    o.coll_bytes = o.quick
-                       ? std::vector<std::size_t>{std::size_t(16) << 10,
-                                                  std::size_t(256) << 10,
-                                                  std::size_t(2) << 20}
-                       : std::vector<std::size_t>{std::size_t(16) << 10,
-                                                  std::size_t(256) << 10,
-                                                  std::size_t(4) << 20};
-  }
-  if (o.chunk_candidates.empty()) {
-    o.chunk_candidates = {std::size_t(16) << 10, std::size_t(64) << 10,
-                          std::size_t(256) << 10};
-  }
   return o;
 }
 
@@ -234,23 +135,13 @@ MachineProfile run_tuning(const TuneOptions& opts_in) {
     probe_gemm<double>(opts, "d", p.measurements);
     probe_factor(opts, p.measurements);
   }
-  if (!opts.skip_collectives) probe_collectives(opts, p.measurements);
-  p.tables = derive_selections(p.measurements);
+  p.rates = derive_rates(p.measurements);
   return p;
 }
 
-perf::TunedTables derive_selections(
-    const std::vector<RawMeasurement>& measurements) {
-  perf::TunedTables t;
-  // Winner accumulators: first-measured strictly-better wins, so replaying
-  // the same log reproduces the same tables.
-  double coll_best[perf::kCollKindCount][perf::kMsgClassCount];
-  for (auto& row : coll_best) {
-    for (double& v : row) v = std::numeric_limits<double>::infinity();
-  }
-  double chunk_best = std::numeric_limits<double>::infinity();
-  // The largest measured size per domain carries the model rates: the best
-  // rate logged there, whatever kernel name the entry carries.
+ProfileRates derive_rates(const std::vector<RawMeasurement>& measurements) {
+  // The largest measured size per domain carries the rates: the best rate
+  // logged there, whatever kernel name the entry carries.
   long long gemm_rate_size = -1, factor_rate_size = -1;
   double gemm_d_rate = 0, gemm_f_rate = 0, factor_rate = 0;
 
@@ -277,42 +168,16 @@ perf::TunedTables derive_selections(
         factor_rate = 0;
       }
       if (n == factor_rate_size) factor_rate = std::max(factor_rate, m.value);
-    } else if (parts.size() == 5 && parts[0] == "coll") {
-      const int kind = perf::parse_class(parts[1], perf::coll_kind_name,
-                                         perf::kCollKindCount);
-      const long long bytes = numeric_token(parts[2], 'b');
-      const auto algo = coll::parse_algorithm(parts[4]);
-      if (kind < 0 || bytes < 0 || !algo) continue;
-      const int cls = int(perf::msg_class(std::size_t(bytes)));
-      if (m.value >= 0 && m.value < coll_best[kind][cls]) {
-        coll_best[kind][cls] = m.value;
-        t.coll_algo[kind][cls] = int(*algo);
-      }
-    } else if (parts.size() == 4 && parts[0] == "chunk") {
-      const long long chunk = numeric_token(parts[3], 'c');
-      if (chunk <= 0) continue;
-      if (m.value >= 0 && m.value < chunk_best) {
-        chunk_best = m.value;
-        t.chunk_bytes = chunk;
-      }
     }
   }
 
-  t.gemm_flops = gemm_d_rate;
-  t.factor_flops = factor_rate;
+  ProfileRates r;
+  r.gemm_flops = gemm_d_rate;
+  r.factor_flops = factor_rate;
   if (gemm_d_rate > 0 && gemm_f_rate > 0) {
-    t.single_speedup = gemm_f_rate / gemm_d_rate;
+    r.single_speedup = gemm_f_rate / gemm_d_rate;
   }
-  return t;
-}
-
-bool same_selections(const perf::TunedTables& a, const perf::TunedTables& b) {
-  for (int k = 0; k < perf::kCollKindCount; ++k) {
-    for (int c = 0; c < perf::kMsgClassCount; ++c) {
-      if (a.coll_algo[k][c] != b.coll_algo[k][c]) return false;
-    }
-  }
-  return a.chunk_bytes == b.chunk_bytes;
+  return r;
 }
 
 }  // namespace chase::tune

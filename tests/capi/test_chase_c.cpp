@@ -9,9 +9,9 @@
 #include <fstream>
 #include <vector>
 
-#include "coll/engine.hpp"
 #include "gen/spectrum.hpp"
 #include "la/norms.hpp"
+#include "perf/machine.hpp"
 #include "tune/profile.hpp"
 
 namespace {
@@ -121,12 +121,13 @@ TEST(CApi, ProfileLoadValidatesAndInstalls) {
 
   chase::tune::MachineProfile profile;
   profile.fingerprint = chase::tune::local_fingerprint();
-  profile.tables.chunk_bytes = 128 << 10;
+  profile.rates.gemm_flops = 3e9;
   ASSERT_TRUE(chase::tune::save_profile(profile, path.string()));
   EXPECT_EQ(chase_profile_load(path.string().c_str()), CHASE_SUCCESS);
-  EXPECT_EQ(chase::coll::chunk_bytes(), std::size_t(128) << 10);
+  EXPECT_DOUBLE_EQ(chase::perf::selection_model().gemm_flops, 3e9);
   chase_profile_unload();
-  EXPECT_NE(chase::coll::chunk_bytes(), std::size_t(128) << 10);
+  EXPECT_EQ(chase::perf::selection_model().gemm_flops,
+            chase::perf::MachineModel{}.gemm_flops);
   std::filesystem::remove(path);
 }
 

@@ -21,7 +21,6 @@
 #include "common/rng.hpp"
 #include "dist/dist_matrix.hpp"
 #include "perf/tracker.hpp"
-#include "perf/tuned.hpp"
 
 namespace chase {
 namespace {
@@ -324,36 +323,21 @@ TEST(CollIntegration, DistApplyBitwiseAcrossPoliciesOneReducePerApply) {
   }
 }
 
-/// Installs tuned dispatch tables for one scope; on exit no profile is
-/// installed, so later tests see the built-in defaults.
-class ScopedTunedTables {
- public:
-  explicit ScopedTunedTables(const perf::TunedTables& t) {
-    perf::set_tuned_tables(t);
-  }
-  ~ScopedTunedTables() { perf::clear_tuned_tables(); }
-  ScopedTunedTables(const ScopedTunedTables&) = delete;
-  ScopedTunedTables& operator=(const ScopedTunedTables&) = delete;
-};
-
-TEST(CollIntegration, DistApplyFollowsAClearedTuneProfile) {
-  // The tune profile picks the allreduce routine per size class. Clearing
-  // it between two applies of one matrix must take effect at the second
-  // apply: no routine choice may outlive the profile it came from.
+TEST(CollIntegration, DistApplyFollowsAPolicyChange) {
+  // The algorithm policy picks the allreduce routine per call. Changing it
+  // between two applies of one matrix must take effect at the second apply:
+  // no routine choice may outlive the policy it came from.
   const Index n = 40;
   const Index ncols = 3;
   auto element = [](Index i, Index j) {
     return 1.0 / double(1 + std::abs(int(i - j)));
   };
-  perf::TunedTables ring_profile;
-  for (int& cell : ring_profile.coll_algo[int(perf::CollKind::kAllReduce)]) {
-    cell = int(coll::Algorithm::kRing);
-  }
   const int p = 4;
   std::vector<perf::Tracker> trackers((std::size_t(p)));
   std::vector<double> ring_after_first((std::size_t(p)));
   std::vector<double> ring_after_adhoc((std::size_t(p)));
-  ScopedTunedTables profile(ring_profile);
+  // Restores the outer policy however the region below leaves the slot.
+  coll::ScopedAlgorithm ring(coll::Algorithm::kRing);
   Team team(p);
   team.run(
       [&](Communicator& comm) {
@@ -372,8 +356,12 @@ TEST(CollIntegration, DistApplyFollowsAClearedTuneProfile) {
         h.apply_c2b(1.0, x.view().as_const(), 0.0, y1.view());
         ring_after_first[r] = perf::thread_tracker()->counter(
             "coll.ring_allreduce.calls");
+        // One rank flips the process-global slot between two barriers, so
+        // every rank reads ring before them and naive after.
         comm.barrier();
-        if (comm.rank() == 0) perf::clear_tuned_tables();
+        if (comm.rank() == 0) {
+          coll::algorithm_policy.set_raw(int(coll::Algorithm::kNaive));
+        }
         comm.barrier();
         double probe = 1.0;
         grid.col_comm().all_reduce(&probe, 1);
@@ -388,7 +376,7 @@ TEST(CollIntegration, DistApplyFollowsAClearedTuneProfile) {
   for (std::size_t r = 0; r < trackers.size(); ++r) {
     EXPECT_EQ(ring_after_first[r], 1.0) << "rank " << r;
     EXPECT_EQ(ring_after_adhoc[r], 1.0) << "rank " << r;
-    // The second apply ran after the clear, so it must have gone naive.
+    // The second apply ran after the switch, so it must have gone naive.
     EXPECT_EQ(trackers[r].counter("coll.ring_allreduce.calls"), 1.0)
         << "rank " << r;
   }

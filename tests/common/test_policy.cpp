@@ -101,7 +101,7 @@ TEST(PolicyGuards, RankThreadsReadWhileGuardsFlip) {
   for (int r = 0; r < 4; ++r) {
     readers.emplace_back([&] {
       while (!stop.load(std::memory_order_relaxed)) {
-        const auto a = coll::algorithm_for(perf::CollKind::kAllReduce, 64);
+        const auto a = coll::algorithm();
         const std::size_t c = coll::chunk_bytes();
         EXPECT_TRUE(a == coll::Algorithm::kRing || a == coll::Algorithm::kTree ||
                     a == algo0);

@@ -69,8 +69,10 @@ TEST(Service, AdmissionControlRejectsWhenFull) {
   cfg.workers = 1;
   cfg.max_queue_depth = 4;
   cfg.start_paused = true;
-  svc::SolverService service(cfg);
+  // Declared before the service so it outlives it: the last job below
+  // borrows h and may still be running when the service shuts down.
   auto h = test_matrix<double>(40, 7);
+  svc::SolverService service(cfg);
 
   std::vector<svc::JobId> admitted;
   for (int i = 0; i < 4; ++i) {

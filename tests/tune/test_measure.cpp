@@ -47,24 +47,20 @@ TEST(Measure, RateIsWorkOverBest) {
 }
 
 TEST(TuneEnvTest, DefaultsWhenUnset) {
-  // What `chase_tune` runs with when no --reps/--warmup/--ranks/--quick
-  // flag is given.
+  // What `chase_tune` runs with when no --reps/--warmup/--quick flag is
+  // given.
   const TuneOptions o;
   EXPECT_EQ(o.repeats, 3);
   EXPECT_EQ(o.warmup, 1);
-  EXPECT_EQ(o.coll_ranks, 4);
   EXPECT_FALSE(o.quick);
-  EXPECT_FALSE(o.skip_collectives);
 }
 
 TEST(TuneEnvTest, WithDefaultsFillsOneSizePerClass) {
-  // One message size per collective class; one size per kernel rate (the
-  // rates come from the largest probed size).
+  // One size per kernel rate (the rates come from the largest probed size).
   TuneOptions o;
   const TuneOptions full = o.with_defaults();
   EXPECT_EQ(full.gemm_sizes.size(), 1u);
   EXPECT_EQ(full.factor_sizes.size(), 1u);
-  EXPECT_EQ(full.coll_bytes.size(), 3u);
   o.quick = true;
   const TuneOptions quick = o.with_defaults();
   EXPECT_EQ(quick.gemm_sizes.size(), 1u);

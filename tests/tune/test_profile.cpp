@@ -1,7 +1,7 @@
 // Machine-profile wire format: round-trip, schema/version gating, corrupt
 // input rejection, fingerprint gating, v1 profiles that still carry the
-// retired kernel tables, and the deterministic derivation of the tables
-// from a raw measurement log.
+// retired collective and kernel tables, and the deterministic derivation of
+// the rates from a raw measurement log.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -10,8 +10,8 @@
 #include <string>
 
 #include "coll/engine.hpp"
+#include "perf/machine.hpp"
 #include "perf/tracker.hpp"
-#include "perf/tuned.hpp"
 #include "tune/profile.hpp"
 #include "tune/tuner.hpp"
 
@@ -23,16 +23,18 @@ MachineProfile sample_profile() {
   p.fingerprint = local_fingerprint();
   p.measurements.push_back({"gemm.d.n96.naive", 1.5e9, "flop/s"});
   p.measurements.push_back({"gemm.d.n96.micro", 6.25e9, "flop/s"});
+  // A v1 log may still carry the retired collective probes; they round-trip
+  // as plain log entries.
   p.measurements.push_back({"coll.allreduce.b16384.p4.ring", 1.25e-5, "s"});
-  p.tables.coll_algo[int(perf::CollKind::kAllReduce)]
-                    [int(perf::MsgClass::kSmallMsg)] =
-      int(coll::Algorithm::kRing);
-  p.tables.chunk_bytes = 128 << 10;
-  p.tables.gemm_flops = 6.25e9;
-  p.tables.factor_flops = 3.5e9;
-  p.tables.single_speedup = 1.8;
+  p.rates.gemm_flops = 6.25e9;
+  p.rates.factor_flops = 3.5e9;
+  p.rates.single_speedup = 1.8;
   return p;
 }
+
+/// The built-in selection model's GEMM rate: what selection_model() reads
+/// with no profile installed.
+double default_gemm_flops() { return perf::MachineModel{}.gemm_flops; }
 
 std::string temp_path(const char* name) {
   return (std::filesystem::temp_directory_path() / name).string();
@@ -54,17 +56,12 @@ TEST_F(ProfileTest, EncodeDecodeRoundTrip) {
   EXPECT_EQ(back->measurements[1].name, "gemm.d.n96.micro");
   EXPECT_DOUBLE_EQ(back->measurements[1].value, 6.25e9);
   EXPECT_EQ(back->measurements[1].unit, "flop/s");
-  EXPECT_EQ(back->tables.coll_algo[int(perf::CollKind::kAllReduce)]
-                                  [int(perf::MsgClass::kSmallMsg)],
-            int(coll::Algorithm::kRing));
-  EXPECT_EQ(back->tables.chunk_bytes, 128 << 10);
-  EXPECT_DOUBLE_EQ(back->tables.gemm_flops, 6.25e9);
-  EXPECT_DOUBLE_EQ(back->tables.factor_flops, 3.5e9);
-  EXPECT_DOUBLE_EQ(back->tables.single_speedup, 1.8);
-  // Untouched entries stay unset.
-  EXPECT_EQ(back->tables.coll_algo[int(perf::CollKind::kBroadcast)]
-                                  [int(perf::MsgClass::kSmallMsg)],
-            -1);
+  EXPECT_EQ(back->rates, p.rates);
+  // The writer emits the rates table only.
+  const std::string text = encode_profile(p);
+  EXPECT_NE(text.find("\"rates\""), std::string::npos);
+  EXPECT_EQ(text.find("coll_algo"), std::string::npos);
+  EXPECT_EQ(text.find("chunk_bytes"), std::string::npos);
 }
 
 TEST_F(ProfileTest, FileRoundTrip) {
@@ -123,8 +120,9 @@ TEST_F(ProfileTest, RejectsIncompleteFingerprint) {
 }
 
 TEST_F(ProfileTest, UnknownEnumNamesLeaveEntriesUntuned) {
-  // A profile written by a hypothetical newer build with more algorithms
-  // must still load here; the unknown entries just stay -1.
+  // The reader ignores every table but the rates, so cells naming kinds,
+  // classes or algorithms this build does not know (and a negative chunk
+  // size) neither fail the load nor steer a collective.
   const auto p = decode_profile(
       R"({"schema": "chase.machine_profile", "version": 1,
           "fingerprint": {"host": "h", "cpu": "c", "threads": 4},
@@ -137,26 +135,25 @@ TEST_F(ProfileTest, UnknownEnumNamesLeaveEntriesUntuned) {
                         "algo": "ring"},
                        {"kind": "allreduce", "msgclass": "large",
                         "algo": "tree"}],
-                     "chunk_bytes": 0,
-                     "rates": {}}})");
+                     "chunk_bytes": -1,
+                     "rates": {"gemm_flops": 2e9}}})");
   ASSERT_TRUE(p.has_value());
-  for (int k = 0; k < perf::kCollKindCount; ++k) {
-    for (int c = 0; c < perf::kMsgClassCount; ++c) {
-      const bool known = k == int(perf::CollKind::kAllReduce) &&
-                         c == int(perf::MsgClass::kLargeMsg);
-      EXPECT_EQ(p->tables.coll_algo[k][c],
-                known ? int(coll::Algorithm::kTree) : -1);
-    }
-  }
+  EXPECT_DOUBLE_EQ(p->rates.gemm_flops, 2e9);
+  EXPECT_EQ(p->rates.factor_flops, 0.0);
+  const coll::Algorithm algo = coll::algorithm();
+  const std::size_t chunk = coll::chunk_bytes();
+  ASSERT_TRUE(install_profile(*p, /*check_fingerprint=*/false));
+  EXPECT_EQ(coll::algorithm(), algo);
+  EXPECT_EQ(coll::chunk_bytes(), chunk);
 }
 
 TEST_F(ProfileTest, RetiredBlockedGemmEntryLoadsUntuned) {
   // A v1 profile tuned while the GEMM and factorization kernel policies
   // existed — results/machine_profile.json as committed then: its log also
   // probed the naive and the since-retired blocked GEMM kernels, and its
-  // tables carry "gemm_kernel" and "factor_kernel" (15 cells). It loads
-  // unchanged: the kernel tables are unread, the collective tables are
-  // installed, and the log re-derives the stored tables and rates.
+  // tables carry "gemm_kernel" and "factor_kernel" (15 cells) next to the
+  // collective tables. It loads unchanged: every table but the rates is
+  // unread, and the log re-derives the stored rates.
   const auto p = decode_profile(R"json({
   "schema": "chase.machine_profile",
   "version": 1,
@@ -259,33 +256,77 @@ TEST_F(ProfileTest, RetiredBlockedGemmEntryLoadsUntuned) {
   ASSERT_TRUE(p.has_value());
   EXPECT_EQ(p->measurements.size(), 58u);
 
-  // Its collective tables and chunk size are installed (the fingerprint is
-  // another machine's, so the check is skipped).
-  using coll::Algorithm;
-  const Algorithm stored[perf::kCollKindCount][perf::kMsgClassCount] = {
-      {Algorithm::kRing, Algorithm::kRing, Algorithm::kRing},
-      {Algorithm::kTree, Algorithm::kNaive, Algorithm::kNaive},
-      {Algorithm::kTree, Algorithm::kNaive, Algorithm::kNaive}};
-  ASSERT_TRUE(install_profile(*p, /*check_fingerprint=*/false));
-  const perf::TunedTables* t = perf::tuned_tables();
-  ASSERT_NE(t, nullptr);
-  for (int k = 0; k < perf::kCollKindCount; ++k) {
-    for (int c = 0; c < perf::kMsgClassCount; ++c) {
-      EXPECT_EQ(t->coll_algo[k][c], int(stored[k][c])) << k << "/" << c;
-    }
-  }
-  EXPECT_EQ(t->chunk_bytes, 262144);
-  EXPECT_EQ(coll::algorithm_for(perf::CollKind::kBroadcast, 4096),
-            Algorithm::kTree);
-  EXPECT_EQ(coll::chunk_bytes(), std::size_t(262144));
+  EXPECT_DOUBLE_EQ(p->rates.gemm_flops, 49025458098.435913);
 
-  // Replay over its measurement log reproduces the stored selections and
-  // rates; the retired kernels' entries do not disturb them.
-  const perf::TunedTables derived = derive_selections(p->measurements);
-  EXPECT_TRUE(same_selections(derived, p->tables));
-  EXPECT_DOUBLE_EQ(derived.gemm_flops, p->tables.gemm_flops);
-  EXPECT_DOUBLE_EQ(derived.factor_flops, p->tables.factor_flops);
-  EXPECT_DOUBLE_EQ(derived.single_speedup, p->tables.single_speedup);
+  // Replay over its measurement log reproduces the stored rates; the
+  // retired kernels' and the collective probes' entries do not disturb them.
+  EXPECT_EQ(derive_rates(p->measurements), p->rates);
+}
+
+TEST_F(ProfileTest, CommittedV1TablesLeaveCollectiveSelectionAtDefaults) {
+  // The table block of the v1 results/machine_profile.json committed before
+  // the collective tables were retired: its coll_algo and chunk_bytes cells
+  // differ from the built-in defaults (ring allreduce, tree broadcast,
+  // 16 KiB chunks). Installed, the profile must leave every collective
+  // choice where a profile-less process has it and only recalibrate the
+  // selection model.
+  const auto p = decode_profile(R"json({
+  "schema": "chase.machine_profile",
+  "version": 1,
+  "fingerprint": {"host": "vm", "cpu": "Intel(R) Xeon(R) Processor", "threads": 4},
+  "measurements": [
+    {"name": "gemm.f.n672.micro", "value": 59980767932.718796, "unit": "flop/s"},
+    {"name": "gemm.d.n672.micro", "value": 28517913274.148834, "unit": "flop/s"},
+    {"name": "factor.n640.blocked", "value": 14890513382.718536, "unit": "flop/s"}
+  ],
+  "tables": {
+    "coll_algo": [
+      {"kind": "allreduce", "msgclass": "small", "algo": "ring"},
+      {"kind": "allreduce", "msgclass": "medium", "algo": "ring"},
+      {"kind": "allreduce", "msgclass": "large", "algo": "ring"},
+      {"kind": "broadcast", "msgclass": "small", "algo": "tree"},
+      {"kind": "broadcast", "msgclass": "medium", "algo": "ring"},
+      {"kind": "broadcast", "msgclass": "large", "algo": "naive"},
+      {"kind": "allgather", "msgclass": "small", "algo": "ring"},
+      {"kind": "allgather", "msgclass": "medium", "algo": "naive"},
+      {"kind": "allgather", "msgclass": "large", "algo": "naive"}
+    ],
+    "chunk_bytes": 16384,
+    "rates": {"gemm_flops": 28517913274.148834, "factor_flops": 14890513382.718536, "single_speedup": 2.1032663700219145}
+  }
+})json");
+  ASSERT_TRUE(p.has_value());
+
+  constexpr perf::CollKind kKinds[] = {perf::CollKind::kAllReduce,
+                                       perf::CollKind::kBroadcast,
+                                       perf::CollKind::kAllGather};
+  // One payload per retired size class (boundaries 64 KiB and 1 MiB).
+  constexpr std::size_t kBytes[] = {std::size_t(16) << 10,
+                                    std::size_t(256) << 10,
+                                    std::size_t(4) << 20};
+  constexpr int kRanks[] = {2, 4, 8};
+  const auto choices = [&] {
+    std::vector<perf::CollAlgo> out;
+    for (const perf::CollKind kind : kKinds) {
+      for (const std::size_t bytes : kBytes) {
+        for (const int ranks : kRanks) {
+          out.push_back(
+              coll::select(kind, bytes, ranks, perf::Backend::kNcclGpu));
+        }
+      }
+    }
+    return out;
+  };
+  const std::vector<perf::CollAlgo> profileless = choices();
+  const std::size_t profileless_chunk = coll::chunk_bytes();
+
+  ASSERT_TRUE(install_profile(*p, /*check_fingerprint=*/false));
+  EXPECT_EQ(choices(), profileless);
+  EXPECT_EQ(coll::chunk_bytes(), profileless_chunk);
+  const perf::MachineModel m = perf::selection_model();
+  EXPECT_DOUBLE_EQ(m.gemm_flops, 28517913274.148834);
+  EXPECT_DOUBLE_EQ(m.factor_flops, 14890513382.718536);
+  EXPECT_DOUBLE_EQ(m.single_speedup, 2.1032663700219145);
 }
 
 TEST_F(ProfileTest, InstallRejectsForeignFingerprintAndCounts) {
@@ -296,30 +337,30 @@ TEST_F(ProfileTest, InstallRejectsForeignFingerprintAndCounts) {
   EXPECT_FALSE(install_profile(p));
   perf::set_thread_tracker(nullptr);
   EXPECT_EQ(tracker.counter("tune.profile.rejected"), 1.0);
-  EXPECT_EQ(perf::tuned_tables(), nullptr);
+  EXPECT_EQ(perf::selection_model().gemm_flops, default_gemm_flops());
 }
 
 TEST_F(ProfileTest, InstallPublishesTablesAndUninstallClears) {
   ASSERT_TRUE(install_profile(sample_profile()));
-  const perf::TunedTables* t = perf::tuned_tables();
-  ASSERT_NE(t, nullptr);
-  EXPECT_EQ(t->chunk_bytes, 128 << 10);
   // The selection model picked up the measured machine rates.
-  EXPECT_DOUBLE_EQ(perf::selection_model().gemm_flops, 6.25e9);
+  const perf::MachineModel m = perf::selection_model();
+  EXPECT_DOUBLE_EQ(m.gemm_flops, 6.25e9);
+  EXPECT_DOUBLE_EQ(m.factor_flops, 3.5e9);
+  EXPECT_DOUBLE_EQ(m.single_speedup, 1.8);
   uninstall_profile();
-  EXPECT_EQ(perf::tuned_tables(), nullptr);
+  EXPECT_EQ(perf::selection_model().gemm_flops, default_gemm_flops());
 }
 
 TEST_F(ProfileTest, InstallSkipsFingerprintCheckWhenAsked) {
   MachineProfile p = sample_profile();
   p.fingerprint.host = "somewhere-else";
   EXPECT_TRUE(install_profile(p, /*check_fingerprint=*/false));
-  EXPECT_NE(perf::tuned_tables(), nullptr);
+  EXPECT_DOUBLE_EQ(perf::selection_model().gemm_flops, 6.25e9);
 }
 
-// ---- derive_selections: the deterministic-replay core ----
+// ---- derive_rates: the deterministic-replay core ----
 
-TEST(DeriveSelections, PicksArgmaxRatesAndArgminSeconds) {
+TEST(DeriveRates, PicksBestRateAtLargestSize) {
   std::vector<RawMeasurement> log = {
       {"gemm.d.n96.naive", 1e9, "flop/s"},
       {"gemm.d.n96.micro", 4e9, "flop/s"},
@@ -329,70 +370,39 @@ TEST(DeriveSelections, PicksArgmaxRatesAndArgminSeconds) {
       {"gemm.z.n700.micro", 9e9, "flop/s"},
       {"factor.n96.naive", 2e9, "flop/s"},
       {"factor.n96.blocked", 1e9, "flop/s"},
-      {"coll.allreduce.b16384.p4.naive", 2e-5, "s"},
+      // Retired collective probes of a v1 log carry no rate.
       {"coll.allreduce.b16384.p4.ring", 1e-5, "s"},
-      {"chunk.allreduce.b4194304.c16384", 3e-3, "s"},
       {"chunk.allreduce.b4194304.c65536", 1e-3, "s"},
-      {"chunk.allreduce.b4194304.c262144", 2e-3, "s"},
   };
-  const perf::TunedTables t = derive_selections(log);
-  // Rates: the best logged at the largest size per domain.
-  EXPECT_DOUBLE_EQ(t.gemm_flops, 8e9);
-  EXPECT_DOUBLE_EQ(t.single_speedup, 2.0);
-  EXPECT_DOUBLE_EQ(t.factor_flops, 2e9);
-  EXPECT_EQ(t.coll_algo[int(perf::CollKind::kAllReduce)]
-                       [int(perf::MsgClass::kSmallMsg)],
-            int(coll::Algorithm::kRing));
-  EXPECT_EQ(t.chunk_bytes, 64 << 10);
-  // Unmeasured classes stay unset.
-  EXPECT_EQ(t.coll_algo[int(perf::CollKind::kAllReduce)]
-                       [int(perf::MsgClass::kMediumMsg)],
-            -1);
+  const ProfileRates r = derive_rates(log);
+  EXPECT_DOUBLE_EQ(r.gemm_flops, 8e9);
+  EXPECT_DOUBLE_EQ(r.single_speedup, 2.0);
+  EXPECT_DOUBLE_EQ(r.factor_flops, 2e9);
 }
 
-TEST(DeriveSelections, FirstMeasuredWinsTies) {
-  std::vector<RawMeasurement> log = {
-      {"coll.allreduce.b16384.p4.naive", 2e-5, "s"},
-      {"coll.allreduce.b16384.p4.ring", 2e-5, "s"},
-  };
-  EXPECT_EQ(derive_selections(log)
-                .coll_algo[int(perf::CollKind::kAllReduce)]
-                          [int(perf::MsgClass::kSmallMsg)],
-            int(coll::Algorithm::kNaive));
-}
-
-TEST(DeriveSelections, IgnoresMalformedNames) {
+TEST(DeriveRates, IgnoresMalformedNames) {
   std::vector<RawMeasurement> log = {
       {"gemm.d.naive", 1e9, "flop/s"},          // missing size token
       {"gemm.d.nXY.micro", 1e9, "flop/s"},      // non-numeric size
       {"factor.n-3.blocked", 1e9, "flop/s"},    // non-numeric size
-      {"coll.allreduce.bXY.p4.ring", 1e-5, "s"},
       {"solve.total", 1.0, "s"},                // foreign domain
       {"", 1.0, "s"},
   };
-  const perf::TunedTables t = derive_selections(log);
-  EXPECT_EQ(t.gemm_flops, 0.0);
-  EXPECT_EQ(t.factor_flops, 0.0);
-  for (const auto& row : t.coll_algo) {
-    for (const int v : row) EXPECT_EQ(v, -1);
-  }
+  EXPECT_EQ(derive_rates(log), ProfileRates{});
 }
 
-TEST(DeriveSelections, ReplayIsDeterministic) {
+TEST(DeriveRates, ReplayIsDeterministic) {
   const std::vector<RawMeasurement> log = {
       {"gemm.d.n96.naive", 1e9, "flop/s"},
       {"gemm.d.n96.micro", 4e9, "flop/s"},
+      {"gemm.f.n96.micro", 6e9, "flop/s"},
       {"factor.n640.blocked", 5e9, "flop/s"},
-      {"coll.broadcast.b2097152.p4.tree", 1e-4, "s"},
   };
-  const perf::TunedTables a = derive_selections(log);
-  const perf::TunedTables b = derive_selections(log);
-  EXPECT_TRUE(same_selections(a, b));
-  EXPECT_EQ(a.gemm_flops, b.gemm_flops);
-  EXPECT_EQ(a.factor_flops, b.factor_flops);
-  EXPECT_EQ(a.coll_algo[int(perf::CollKind::kBroadcast)]
-                       [int(perf::MsgClass::kLargeMsg)],
-            int(coll::Algorithm::kTree));
+  const ProfileRates a = derive_rates(log);
+  EXPECT_EQ(a, derive_rates(log));
+  EXPECT_DOUBLE_EQ(a.gemm_flops, 4e9);
+  EXPECT_DOUBLE_EQ(a.factor_flops, 5e9);
+  EXPECT_DOUBLE_EQ(a.single_speedup, 1.5);
 }
 
 }  // namespace
