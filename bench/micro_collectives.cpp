@@ -144,7 +144,7 @@ int main(int argc, char** argv) {
                           0, p, bytes, time_allreduce(p, bytes, iters)});
       }
       std::vector<chase::coll::Algorithm> policies = {
-          chase::coll::Algorithm::kRing, chase::coll::Algorithm::kTree};
+          chase::coll::Algorithm::kRing};
       if (topo_scope) policies.push_back(chase::coll::Algorithm::kHier);
       for (const auto policy_kind : policies) {
         for (const std::size_t chunk : chunks) {

@@ -131,8 +131,7 @@ bool auto_matches_model(const chase::perf::TopoInfo& topo) {
         m, backend, chase::perf::CollKind::kAllReduce, CollAlgo::kHierAlgo,
         bytes, kRanks, chunk, topo);
     double flat = std::numeric_limits<double>::infinity();
-    for (const CollAlgo a : {CollAlgo::kNaiveAlgo, CollAlgo::kRingAlgo,
-                             CollAlgo::kRabenseifner}) {
+    for (const CollAlgo a : {CollAlgo::kNaiveAlgo, CollAlgo::kRingAlgo}) {
       flat = std::min(flat, chase::perf::coll_algo_seconds(
                                 m, backend, chase::perf::CollKind::kAllReduce,
                                 a, bytes, kRanks, chunk, topo));

@@ -4,8 +4,8 @@
 // everything here routes one call to either the naive reference or a chunk
 // channel algorithm, wrapped in the same perf accounting and fault-injection
 // hooks either way. This is the only path a collective takes: every entry
-// point builds its channel op through the per-kind factories below and runs
-// it to completion (wait()) inside a perf bracket.
+// point selects a routine and calls it — a blocking function of
+// coll/algorithms.hpp or coll/hierarchy.hpp — inside a perf bracket.
 #pragma once
 
 #ifndef CHASE_COMM_COMMUNICATOR_INCLUDED
@@ -44,61 +44,6 @@ inline std::vector<coll::CollPhase> phases_of(const Communicator& c,
   return {{kind, bytes, c.size(), local}};
 }
 
-// Per-kind channel-op factories: the one place a (kind, routine) pair turns
-// into a state machine. `algo` is never kNaiveAlgo here.
-
-template <typename T>
-std::unique_ptr<coll::CollOp> all_reduce_op(const Communicator& c,
-                                            perf::CollAlgo algo, T* data,
-                                            Index count, Reduction op,
-                                            std::uint64_t seq) {
-  const Index ce = coll_chunk_elems(sizeof(T));
-  switch (algo) {
-    case perf::CollAlgo::kHierAlgo:
-      return std::make_unique<coll::HierAllReduce<Communicator, T>>(
-          c, data, count, op, ce, seq);
-    case perf::CollAlgo::kRingAlgo:
-      return std::make_unique<coll::OrderedRingAllReduce<Communicator, T>>(
-          c, data, count, op, ce, seq);
-    default:
-      return std::make_unique<coll::RabenseifnerAllReduce<Communicator, T>>(
-          c, data, count, op, ce, seq);
-  }
-}
-
-template <typename T>
-std::unique_ptr<coll::CollOp> broadcast_op(const Communicator& c,
-                                           perf::CollAlgo algo, T* data,
-                                           Index count, int root,
-                                           std::uint64_t seq) {
-  const Index ce = coll_chunk_elems(sizeof(T));
-  if (algo == perf::CollAlgo::kHierAlgo) {
-    return std::make_unique<coll::HierBroadcast<Communicator, T>>(
-        c, data, count, root, ce, seq);
-  }
-  return std::make_unique<coll::BinomialBroadcast<Communicator, T>>(
-      c, data, count, root, ce, seq);
-}
-
-/// Flat allgather: bruck for the equal-count case it was chosen for, else
-/// the ring over (counts, displs). The hierarchical allgather is a blocking
-/// composite (coll::hier_all_gather_v), not a channel op.
-template <typename T>
-std::unique_ptr<coll::CollOp> all_gather_op(const Communicator& c,
-                                            perf::CollAlgo algo, const T* send,
-                                            Index count, T* recv,
-                                            std::vector<Index> counts,
-                                            std::vector<Index> displs,
-                                            std::uint64_t seq) {
-  const Index ce = coll_chunk_elems(sizeof(T));
-  if (algo == perf::CollAlgo::kBruck) {
-    return std::make_unique<coll::BruckAllGather<Communicator, T>>(
-        c, send, recv, count, ce, seq);
-  }
-  return std::make_unique<coll::RingAllGather<Communicator, T>>(
-      c, send, recv, std::move(counts), std::move(displs), ce, seq);
-}
-
 }  // namespace detail
 
 template <typename T>
@@ -118,7 +63,12 @@ void Communicator::all_reduce(T* data, Index count, Reduction op) const {
   account_begin();
   const std::uint64_t seq = next_collective_seq();
   if (count > 0) {
-    detail::all_reduce_op(*this, algo, data, count, op, seq)->wait();
+    const Index ce = detail::coll_chunk_elems(sizeof(T));
+    if (algo == perf::CollAlgo::kHierAlgo) {
+      coll::hier_all_reduce(*this, data, count, op, ce, seq);
+    } else {
+      coll::ring_all_reduce(*this, data, count, op, ce, seq);
+    }
   }
   detail::corrupt_reduced(data, count);
   coll::account_phases(
@@ -141,7 +91,12 @@ void Communicator::broadcast(T* data, Index count, int root) const {
   account_begin();
   const std::uint64_t seq = next_collective_seq();
   if (count > 0) {
-    detail::broadcast_op(*this, algo, data, count, root, seq)->wait();
+    const Index ce = detail::coll_chunk_elems(sizeof(T));
+    if (algo == perf::CollAlgo::kHierAlgo) {
+      coll::hier_broadcast(*this, data, count, root, ce, seq);
+    } else {
+      coll::binomial_broadcast(*this, data, count, root, ce, seq);
+    }
   }
   coll::account_phases(
       perf::thread_tracker(), backend_,
@@ -184,8 +139,8 @@ void Communicator::all_gather_dispatch(const T* send, Index count, T* recv,
                                   sizeof(T);
   std::size_t total_bytes = 0;
   for (const Index c : counts) total_bytes += std::size_t(c) * sizeof(T);
-  perf::CollAlgo algo = coll::select(perf::CollKind::kAllGather, total_bytes,
-                                     size(), backend_, topo_info());
+  const perf::CollAlgo algo = coll::select(
+      perf::CollKind::kAllGather, total_bytes, size(), backend_, topo_info());
   if (algo == perf::CollAlgo::kNaiveAlgo) {
     if (uniform) {
       naive_all_gather(send, count, recv);
@@ -213,19 +168,16 @@ void Communicator::all_gather_dispatch(const T* send, Index count, T* recv,
                                            algo, total_bytes, local_bytes));
     return;
   }
-  // Bruck needs uniform blocks; the variable-count case rides the ring.
-  if (algo != perf::CollAlgo::kBruck || !uniform) {
-    algo = perf::CollAlgo::kRingAlgo;
-  }
   account_begin();
   const std::uint64_t seq = next_collective_seq();
   if (total_bytes > 0) {
-    detail::all_gather_op(*this, algo, send, count, recv, counts, displs, seq)
-        ->wait();
+    coll::ring_all_gather(*this, send, recv, counts, displs,
+                          detail::coll_chunk_elems(sizeof(T)), seq);
   }
   coll::account_phases(perf::thread_tracker(), backend_,
                        detail::phases_of(*this, perf::CollKind::kAllGather,
-                                         algo, total_bytes, local_bytes));
+                                         perf::CollAlgo::kRingAlgo,
+                                         total_bytes, local_bytes));
 }
 
 }  // namespace chase::comm

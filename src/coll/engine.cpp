@@ -48,36 +48,29 @@ perf::CollAlgo select(perf::CollKind kind, std::size_t bytes, int nranks,
                       perf::Backend backend, const perf::TopoInfo& topo) {
   using perf::CollAlgo;
   if (nranks <= 1) return CollAlgo::kNaiveAlgo;
-  // The flat channel routine of each family: the ring family pairs the
-  // ordered ring (allreduce) / ring (allgather) with the binomial broadcast,
-  // the tree family Rabenseifner / bruck with the same broadcast.
-  const bool bcast = kind == perf::CollKind::kBroadcast;
-  const CollAlgo ring = bcast ? CollAlgo::kBinomial : CollAlgo::kRingAlgo;
-  const CollAlgo tree = bcast ? CollAlgo::kBinomial
-                        : kind == perf::CollKind::kAllReduce
-                            ? CollAlgo::kRabenseifner
-                            : CollAlgo::kBruck;
+  // The flat channel routine of each kind: the ordered ring (allreduce), the
+  // ring (allgather), the binomial tree (broadcast).
+  const CollAlgo flat = kind == perf::CollKind::kBroadcast
+                            ? CollAlgo::kBinomial
+                            : CollAlgo::kRingAlgo;
   const bool grouped = topo.grouped();
   switch (algorithm()) {
     case Algorithm::kNaive:
       return CollAlgo::kNaiveAlgo;
     case Algorithm::kRing:
-      return ring;
-    case Algorithm::kTree:
-      return tree;
+      return flat;
     case Algorithm::kHier:
-      // Explicit two-level policy; degrades to the flat ring family when the
+      // Explicit two-level policy; degrades to the flat routine when the
       // communicator spans a single group (or a non-contiguous one).
-      return grouped ? CollAlgo::kHierAlgo : ring;
+      return grouped ? CollAlgo::kHierAlgo : flat;
     case Algorithm::kAuto:
     default: {
-      // Candidates in tie-break order (the first cheapest wins).
-      CollAlgo candidates[4] = {CollAlgo::kNaiveAlgo, ring};
-      std::size_t n = 2;
-      if (!bcast) candidates[n++] = tree;
-      if (grouped) candidates[n++] = CollAlgo::kHierAlgo;
+      // Candidates in tie-break order (the first cheapest wins); the
+      // two-level routine only on a grouped communicator.
+      const CollAlgo candidates[] = {CollAlgo::kNaiveAlgo, flat,
+                                     CollAlgo::kHierAlgo};
       return cheapest(kind, bytes, nranks, backend, topo,
-                      std::span<const CollAlgo>(candidates, n));
+                      std::span<const CollAlgo>(candidates, grouped ? 3 : 2));
     }
   }
 }

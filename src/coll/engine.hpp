@@ -1,12 +1,13 @@
 // Algorithm policy for the collective engine (a common/policy.hpp policy).
 //
 // Mirrors the paper's MPI -> NCCL switch: the naive publish-and-sync path
-// stands in for the single-shot MPI collective, while the chunked channel
-// algorithms (ring / Rabenseifner / bruck / binomial / hierarchical,
-// src/coll) reproduce the algorithmic side of NCCL. The policy is
+// stands in for the single-shot MPI collective, while the chunk-pipelined
+// channel routines (src/coll) reproduce the algorithmic side of NCCL — one
+// flat routine per collective kind (ordered ring allreduce, ring allgather,
+// binomial broadcast) plus their two-level variants. The policy is
 // process-global:
 //
-//   CHASE_COLL_ALGO = naive | ring | tree | hier | auto   (default: naive)
+//   CHASE_COLL_ALGO = naive | ring | hier | auto   (default: naive)
 //   CHASE_COLL_CHUNK_BYTES = pipelining granularity (default 64 KiB)
 //
 // `auto` picks per call by minimizing the extended alpha-beta-gamma cost
@@ -30,12 +31,10 @@
 
 namespace chase::coll {
 
-enum class Algorithm : int { kNaive = 0, kRing, kTree, kHier, kAuto };
+enum class Algorithm : int { kNaive = 0, kRing, kHier, kAuto };
 
-inline constinit policy::Policy<Algorithm, 5> algorithm_policy{
-    "CHASE_COLL_ALGO",
-    {"naive", "ring", "tree", "hier", "auto"},
-    Algorithm::kNaive};
+inline constinit policy::Policy<Algorithm, 4> algorithm_policy{
+    "CHASE_COLL_ALGO", {"naive", "ring", "hier", "auto"}, Algorithm::kNaive};
 using ScopedAlgorithm = policy::Pin<algorithm_policy>;
 
 inline std::string_view algorithm_name(Algorithm a) {
@@ -62,10 +61,11 @@ class ScopedChunkBytes : public policy::Scoped {
 };
 
 /// Pick the routine for one collective call of `kind`: kNaiveAlgo is the
-/// publish-and-sync reference, anything else names the channel algorithm
-/// the dispatcher runs (kRingAlgo is the ordered ring for allreduce and the
-/// ring for allgather). `bytes` follows the Tracker convention (per-rank
-/// payload for reduce/broadcast, total gathered buffer for allgather).
+/// publish-and-sync reference, anything else names the channel routine the
+/// dispatcher runs (kRingAlgo is the ordered ring for allreduce and the ring
+/// for allgather, kBinomial the broadcast tree). `bytes` follows the Tracker
+/// convention (per-rank payload for reduce/broadcast, total gathered buffer
+/// for allgather).
 perf::CollAlgo select(perf::CollKind kind, std::size_t bytes, int nranks,
                       perf::Backend backend);
 

@@ -10,9 +10,10 @@
 // Two transports back the collectives:
 //  - the naive publish-and-sync path (one barrier-bracketed shared-memory
 //    copy), standing in for a single-shot MPI collective;
-//  - the algorithmic engine of src/coll (ring / Rabenseifner / bruck /
-//    binomial over chunked point-to-point channels, see chunk_channel.hpp),
-//    standing in for NCCL's pipelined algorithms. The CHASE_COLL_ALGO policy
+//  - the algorithmic engine of src/coll (ordered ring allreduce, ring
+//    allgather, binomial broadcast and their two-level variants, over
+//    chunked point-to-point channels, see chunk_channel.hpp), standing in
+//    for NCCL's pipelined algorithms. The CHASE_COLL_ALGO policy
 //    (coll/engine.hpp) picks per call; every algorithm is bitwise-identical
 //    to the naive reference. Every collective is blocking.
 //
@@ -208,26 +209,14 @@ class Communicator {
   void send_chunk(int dst, std::uint64_t tag, const void* data,
                   std::size_t bytes) const;
 
-  /// Nonblocking receive: if a chunk from `src` tagged `tag` is in my inbox
-  /// (matched anywhere in the per-source FIFO, so pipelined chunks may
-  /// arrive out of order), copy it into `data` and return true. A matching
-  /// chunk whose size differs from `bytes` poisons the team.
-  bool try_recv_chunk(int src, std::uint64_t tag, void* data,
-                      std::size_t bytes) const;
-
-  /// Blocking receive with the poisoned-error/watchdog protocol: diagnoses a
-  /// sender that never delivers as "p2p.watchdog" after barrier_timeout().
+  /// Blocking receive of the chunk from `src` tagged `tag` (matched anywhere
+  /// in the per-source FIFO, so pipelined chunks may arrive out of order)
+  /// into `data`. Poison-aware; a wait during which no chunk reaches my
+  /// inbox for barrier_timeout() is diagnosed as "p2p.watchdog", naming
+  /// `src`. A matching chunk whose size differs from `bytes` poisons the
+  /// team.
   void recv_chunk(int src, std::uint64_t tag, void* data,
                   std::size_t bytes) const;
-
-  /// Monotone count of chunks ever delivered to my inbox.
-  std::uint64_t inbox_arrivals() const;
-
-  /// Block until the arrival count differs from `seen` (poison-aware,
-  /// watchdog-diagnosed); returns the current count. `src`/`tag`, when
-  /// known, name the awaited sender in the watchdog diagnosis.
-  std::uint64_t wait_new_arrival(std::uint64_t seen, int src = -1,
-                                 std::uint64_t tag = 0) const;
 
   /// Control-plane agreement: true iff every rank passed the same value.
   /// Runs on the trusted naive publication-slot transport (no chunk
@@ -305,7 +294,7 @@ class Communicator {
 
   /// Shared body of all_gather / all_gather_v once the team has more than
   /// one rank: routine selection, then the naive, hierarchical or flat
-  /// channel path. `uniform` marks the equal-count call (bruck-eligible).
+  /// channel path. `uniform` marks the equal-count call (naive_all_gather).
   template <typename T>
   void all_gather_dispatch(const T* send, Index count, T* recv,
                            const std::vector<Index>& counts,

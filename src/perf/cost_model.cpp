@@ -66,21 +66,6 @@ double coll_algo_seconds(const MachineModel& m, Backend backend, CollKind kind,
       // Ring allgather: P-1 steps, each forwarding one rank's share of the
       // total gathered payload N.
       return (P - 1) * (L + N / P / B);
-    case CollAlgo::kRabenseifner:
-      // Order-preserving reduce-scatter (pairwise exchange, P-1 latency
-      // steps) + allgather of the scattered segments: 2N(P-1)/P bytes and
-      // N(P-1)/P folded bytes per rank.
-      return 2 * (P - 1) * L + 2 * N * (P - 1) / P / B + N * (P - 1) / P / G;
-    case CollAlgo::kBruck:
-      // log2(P) doubling rounds moving N(P-1)/P total.
-      return log2p * L + N * (P - 1) / P / B;
-    case CollAlgo::kHierAlgo:
-      // On a flat (single-group) communicator the hierarchy degenerates to
-      // the ordered chain plus the group bookkeeping it cannot amortize;
-      // price it as slightly worse than the ring so auto never prefers it
-      // without a grouped topology.
-      return 1.05 * coll_algo_seconds(m, backend, kind, CollAlgo::kRingAlgo,
-                                      bytes, nranks, chunk_bytes);
     case CollAlgo::kBinomial:
     default:
       // Chunk-pipelined binomial tree: depth ceil(log2 P), k chunks deep.
@@ -142,14 +127,6 @@ double coll_algo_seconds(const MachineModel& m, Backend backend, CollKind kind,
       // Ring allgather: each of the P-1 steps forwards one rank's share
       // through the boundary sender's slow link.
       return (P - 1) * (Li + N / P / Bi);
-    case CollAlgo::kRabenseifner:
-      // Pairwise exchange: a (P-per)/P fraction of the 2N(P-1)/P volume
-      // crosses groups.
-      return 2 * (P - 1) * Li + 2 * N * (P - per) / P / Bi +
-             2 * N * (per - 1) / P / Ba + N * (P - 1) / P / G;
-    case CollAlgo::kBruck:
-      // Doubling rounds: the large late rounds all cross groups.
-      return log2p * Li + N * (P - 1) / P / Bi;
     case CollAlgo::kBinomial:
       // The root's fanout crosses groups up to ceil(log2 M) times per chunk.
       return (log2p + k - 1) * (La + C / Ba) + k * log2m * (Li + C / Bi);

@@ -45,8 +45,6 @@ double price_collective(const MachineModel& m, Backend backend, CollKind kind,
 enum class CollAlgo : int {
   kNaiveAlgo = 0,   // publish-and-sync: two barriers + every rank reads all
   kRingAlgo,        // ordered pipelined chain (allreduce) / ring (allgather)
-  kRabenseifner,    // reduce-scatter + allgather, 2N(P-1)/P bytes per rank
-  kBruck,           // log-round allgather
   kBinomial,        // binomial tree broadcast, chunk-pipelined
   kHierAlgo,        // two-level: fast-group phase + leader exchange + fanout
 };
@@ -71,7 +69,9 @@ struct TopoInfo {
 /// Seconds for one collective executed with `algo` and chunk-size
 /// `chunk_bytes` pipelining; `bytes` follows the Tracker convention
 /// (per-rank payload for reduce/broadcast, total gathered for allgather).
-/// This is the objective CHASE_COLL_ALGO=auto minimizes.
+/// This is the objective CHASE_COLL_ALGO=auto minimizes. `algo` is a flat
+/// routine: kHierAlgo is priced only by the topology-aware overload, on a
+/// grouped topology (the only place the selector offers it).
 double coll_algo_seconds(const MachineModel& m, Backend backend, CollKind kind,
                          CollAlgo algo, std::size_t bytes, int nranks,
                          std::size_t chunk_bytes);

@@ -1,7 +1,8 @@
 // Property suite for the src/coll algorithmic collective engine.
 //
-// The contract under test: every algorithm (ring / tree / auto policies over
-// the chunk channels) produces *bitwise identical* results to the naive
+// The contract under test: every routine (ring / hier / auto policies over
+// the chunk channels; hier runs the flat routines on an ungrouped team)
+// produces *bitwise identical* results to the naive
 // publish-and-sync reference, across team sizes, payload sizes (including 0
 // and non-chunk-aligned counts), real and complex scalars, and chunk sizes
 // small enough to force multi-chunk pipelines. Plus: one reduction per
@@ -33,7 +34,7 @@ using la::Index;
 constexpr int kTeamSizes[] = {1, 2, 3, 4, 5, 8};
 constexpr Index kCounts[] = {0, 1, 7, 64, 1023};
 constexpr coll::Algorithm kPolicies[] = {
-    coll::Algorithm::kNaive, coll::Algorithm::kRing, coll::Algorithm::kTree,
+    coll::Algorithm::kNaive, coll::Algorithm::kRing, coll::Algorithm::kHier,
     coll::Algorithm::kAuto};
 
 template <typename T>
@@ -291,7 +292,9 @@ TEST(CollIntegration, DistApplyBitwiseAcrossPoliciesOneReducePerApply) {
           const std::size_t before = events.size();
           h.apply_c2b(1.0, x.view().as_const(), 0.0, y.view());
           ASSERT_GT(events.size(), before) << what;
-          if (!abft) EXPECT_EQ(events.size(), before + 1) << what;
+          if (!abft) {
+            EXPECT_EQ(events.size(), before + 1) << what;
+          }
           const perf::CollectiveEvent& e = events[before];
           EXPECT_EQ(e.kind, perf::CollKind::kAllReduce) << what;
           EXPECT_EQ(e.bytes, std::size_t(yr * ncols) * sizeof(double)) << what;
@@ -411,11 +414,15 @@ TEST(CollFault, P2pStallTripsWatchdog) {
     FAIL() << "a stalled sender must poison the team";
   } catch (const comm::TeamAborted& e) {
     EXPECT_EQ(e.error().site, "p2p.watchdog") << e.what();
+    // The blocked receive names the sender it was waiting for.
+    EXPECT_NE(e.error().message.find("while waiting for rank"),
+              std::string::npos)
+        << e.what();
   }
 }
 
 TEST(CollFault, RankDieOnChannelPathAborts) {
-  coll::ScopedAlgorithm policy(coll::Algorithm::kTree);
+  coll::ScopedAlgorithm policy(coll::Algorithm::kRing);
   fault::Scoped site("rank.die", /*rank=*/1, /*times=*/1);
   Team team(4);
   try {

@@ -38,7 +38,10 @@ void expect_rejects(const policy::Slot& slot, const std::string& junk,
 
 TEST(PolicyParse, EnumKnobsRejectUnknownValues) {
   expect_rejects(coll::algorithm_policy, "rign",
-                 {"naive", "ring", "tree", "hier", "auto"});
+                 {"naive | ring | hier | auto"});
+  // The tree family (Rabenseifner / Bruck) is gone: its name is unknown.
+  expect_rejects(coll::algorithm_policy, "tree",
+                 {"naive | ring | hier | auto"});
   expect_rejects(core::precision_policy, "mixd", {"double", "mixed"});
 }
 
@@ -70,7 +73,7 @@ TEST(PolicyGuards, NestedGuardsRestoreTheOuterValue) {
     coll::ScopedAbft abft(true);
     ckpt::ScopedCheckpointInterval ckpt(4);
     {
-      coll::ScopedAlgorithm algo_in(coll::Algorithm::kTree);
+      coll::ScopedAlgorithm algo_in(coll::Algorithm::kHier);
       coll::ScopedChunkBytes chunk_in(512);
       core::ScopedPrecision prec_in(core::Precision::kDouble);
       coll::ScopedAbft abft_in(false);
@@ -103,8 +106,8 @@ TEST(PolicyGuards, RankThreadsReadWhileGuardsFlip) {
       while (!stop.load(std::memory_order_relaxed)) {
         const auto a = coll::algorithm();
         const std::size_t c = coll::chunk_bytes();
-        EXPECT_TRUE(a == coll::Algorithm::kRing || a == coll::Algorithm::kTree ||
-                    a == algo0);
+        EXPECT_TRUE(a == coll::Algorithm::kRing ||
+                    a == coll::Algorithm::kHier || a == algo0);
         EXPECT_GT(c, 0u);
         (void)core::precision();
         (void)coll::abft_enabled();
@@ -114,7 +117,7 @@ TEST(PolicyGuards, RankThreadsReadWhileGuardsFlip) {
   }
   for (int i = 0; i < 200; ++i) {
     coll::ScopedAlgorithm algo(i % 2 ? coll::Algorithm::kRing
-                                     : coll::Algorithm::kTree);
+                                     : coll::Algorithm::kHier);
     coll::ScopedChunkBytes chunk(std::size_t(i + 1) * 64);
     core::ScopedPrecision prec(core::Precision::kMixed);
     coll::ScopedAbft abft(i % 2 == 0);
