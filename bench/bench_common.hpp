@@ -17,8 +17,8 @@
 namespace chase::bench {
 
 // The warmup+repeat timing discipline every bench uses lives in
-// tune::measure (shared with the autotuner, so bench rates and profile
-// rates are directly comparable); re-exported here for bench writers.
+// tune::measure (shared with perfbench's peak probe, so their rates are
+// directly comparable); re-exported here for bench writers.
 using tune::measure;
 using tune::Measurement;
 using tune::measured_rate;

@@ -145,7 +145,13 @@ int main(int argc, char** argv) {
       }
       std::vector<chase::coll::Algorithm> policies = {
           chase::coll::Algorithm::kRing};
-      if (topo_scope) policies.push_back(chase::coll::Algorithm::kHier);
+      // A CHASE_TOPO spec groups only teams of exactly its size; elsewhere
+      // hier would re-run the flat ring under another label.
+      if (topo_scope && !chase::comm::node_assignment(
+                            chase::comm::current_topology(), p)
+                            .empty()) {
+        policies.push_back(chase::coll::Algorithm::kHier);
+      }
       for (const auto policy_kind : policies) {
         for (const std::size_t chunk : chunks) {
           chase::coll::ScopedAlgorithm policy(policy_kind);

@@ -158,7 +158,7 @@ double now_seconds() {
 /// Best-of-`reps` Gflop/s of one thunk through the shared tune::measure
 /// harness (noise on a shared host is one-sided — interference only ever
 /// slows a run down — so the best repeat is the estimator closest to the
-/// kernel's true rate, the same convention the autotuner records).
+/// kernel's true rate, the same convention perfbench's peak probe uses).
 template <typename F>
 double best_gflops(double flops, int reps, F&& run) {
   return chase::tune::measured_rate(flops, /*warmup=*/0, reps,

@@ -71,19 +71,6 @@ Hierarchy invariants (results/bench_hierarchy.json, hard failures):
   * CHASE_COLL_ALGO=auto disagreeing with the per-link cost model about
     when the hierarchy wins.
 
-Autotuner invariants (results/bench_tune.json, hard failures):
-  * the end-to-end solve with the profile loaded above 1.05x the
-    profile-less solve — a loaded profile must not tax the hot path;
-  * replay not deterministic — derive_rates over the persisted
-    measurement log must reproduce the persisted rates bit-for-bit.
-
-`--schema <profile.json>` instead validates a persisted machine profile
-(schema tag, version, fingerprint and table shapes) without benchmarking.
-Only `tables.rates` is required. The collective and kernel tables of v1
-profiles ("coll_algo", "chunk_bytes", "gemm_kernel", "factor_kernel") are
-optional and checked for shape when present: profiles written since those
-tables were retired omit them.
-
 Informational: the hemm-vs-gemm median ratios, staged-vs-seed ratios below
 parity (the staged engine being faster is fine), and the wall-clock cost of
 arming the ABFT checksummed collectives.
@@ -286,89 +273,13 @@ def check_hierarchy(data: dict, failures: list) -> None:
             "about when the hierarchy wins")
 
 
-def check_tune(data: dict, failures: list) -> None:
-    t = data["tune"]
-    print(f"tune n={t['n']} nev={t['nev']} nex={t['nex']} "
-          f"(best of {t['reps']}, {t['measurements']} probe measurements)")
-    print(f"  tuned {t['tuned_seconds']:.4f}s  "
-          f"profile-less {t['profileless_seconds']:.4f}s  "
-          f"ratio {t['tuned_vs_profileless']:.3f}  "
-          f"replay deterministic: {t['replay_deterministic']}")
-    if t["tuned_vs_profileless"] > 1.05:
-        failures.append(
-            f"tuned solve is {t['tuned_vs_profileless']:.3f}x the "
-            "profile-less solve (budget is 1.05x — the tuned tables must "
-            "not tax the hot path)")
-    if not t["replay_deterministic"]:
-        failures.append(
-            "profile replay is not deterministic — derive_rates over "
-            "the persisted measurement log diverged from the stored rates")
-
-
-PROFILE_SCHEMA = "chase.machine_profile"
-PROFILE_VERSION = 1
-
-
-def check_profile_schema(path: str) -> int:
-    """Validate a persisted machine profile; returns a process exit code."""
-    problems = []
-    try:
-        with open(path) as f:
-            data = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        print(f"{path}: unreadable or not JSON: {e}")
-        return 1
-    if data.get("schema") != PROFILE_SCHEMA:
-        problems.append(f"schema tag is {data.get('schema')!r}, "
-                        f"expected {PROFILE_SCHEMA!r}")
-    if data.get("version") != PROFILE_VERSION:
-        problems.append(f"version is {data.get('version')!r}, "
-                        f"expected {PROFILE_VERSION}")
-    fp = data.get("fingerprint")
-    if not isinstance(fp, dict) or not fp.get("host") or \
-            not isinstance(fp.get("threads"), int) or fp["threads"] <= 0:
-        problems.append("fingerprint must carry a host and a positive "
-                        "thread count")
-    ms = data.get("measurements")
-    if not isinstance(ms, list):
-        problems.append("measurements must be an array")
-    else:
-        for i, m in enumerate(ms):
-            if not isinstance(m, dict) or not m.get("name") or \
-                    not isinstance(m.get("value"), (int, float)):
-                problems.append(f"measurement #{i} lacks a name/value")
-                break
-    tables = data.get("tables")
-    if not isinstance(tables, dict):
-        problems.append("tables must be an object")
-    else:
-        for key in ("coll_algo", "gemm_kernel", "factor_kernel"):
-            if key in tables and not isinstance(tables[key], list):
-                problems.append(f"tables.{key} must be an array")
-        chunk = tables.get("chunk_bytes", 0)
-        if not isinstance(chunk, (int, float)) or chunk < 0:
-            problems.append("tables.chunk_bytes must be a non-negative "
-                            "number")
-        if not isinstance(tables.get("rates"), dict):
-            problems.append("tables.rates must be an object")
-    if problems:
-        print(f"{path}: invalid machine profile:")
-        for p in problems:
-            print(f"  - {p}")
-        return 1
-    print(f"{path}: valid {PROFILE_SCHEMA} v{PROFILE_VERSION} profile "
-          f"({len(ms)} measurements)")
-    return 0
-
-
 DEFAULT_RESULTS = ("results/bench_kernels.json",
                    "results/bench_engine.json",
                    "results/bench_factor.json",
                    "results/bench_checkpoint.json",
                    "results/bench_service.json",
                    "results/bench_mixed.json",
-                   "results/bench_hierarchy.json",
-                   "results/bench_tune.json")
+                   "results/bench_hierarchy.json")
 
 
 def check_mixed(data: dict, failures: list) -> None:
@@ -410,11 +321,6 @@ def main() -> int:
     only = None
     i = 0
     while i < len(args):
-        if args[i] == "--schema":
-            if i + 1 >= len(args):
-                print("--schema requires a machine-profile JSON path")
-                return 1
-            return check_profile_schema(args[i + 1])
         if args[i] == "--only":
             if i + 1 >= len(args):
                 print("--only requires a bench name or result path")
@@ -456,8 +362,6 @@ def main() -> int:
             check_mixed(data, failures)
         elif "hierarchy_speedup" in data:
             check_hierarchy(data, failures)
-        elif "tune" in data:
-            check_tune(data, failures)
         else:
             failures.append(f"{path}: unrecognized result shape")
         print()

@@ -12,7 +12,6 @@
 #include "core/precision.hpp"
 #include "core/sequential.hpp"
 #include "svc/service.hpp"
-#include "tune/profile.hpp"
 
 namespace {
 
@@ -286,17 +285,6 @@ const char* chase_get_precision(void) {
     return nullptr;  // CHASE_PRECISION holds an unknown value
   }
 }
-
-int chase_profile_load(const char* path) {
-  if (path == nullptr || path[0] == '\0') return CHASE_INVALID_ARGUMENT;
-  const auto profile = tune::load_profile(path);
-  if (!profile || !tune::install_profile(*profile)) {
-    return CHASE_PROFILE_REJECTED;
-  }
-  return CHASE_SUCCESS;
-}
-
-void chase_profile_unload(void) { tune::uninstall_profile(); }
 
 void chase_service_default_params(chase_service_params* p) {
   p->workers = 2;

@@ -45,8 +45,6 @@ enum {
   CHASE_SHUTDOWN = -5,        /* service no longer accepting work */
   CHASE_NOT_CANCELLABLE = -6, /* job already dispatched or finished */
   CHASE_SOLVE_FAILED = -7,    /* solver raised an internal error */
-  CHASE_PROFILE_REJECTED = -8, /* autotuner profile unreadable, corrupt,
-                                  wrong version, or wrong machine */
 };
 
 /* Lowest eigenpairs of a complex Hermitian matrix.
@@ -95,24 +93,6 @@ int chase_set_precision(const char* name);
  * environment variable holds an unknown value and no chase_set_precision
  * call has replaced it. */
 const char* chase_get_precision(void);
-
-/* ---- Runtime autotuner profiles (src/tune) ----
- *
- * chase_profile_load reads a `chase_tune` machine profile (versioned JSON)
- * from `path`, schema- and fingerprint-checks it, and installs its measured
- * GEMM/factorization rates process-wide: they calibrate the machine model
- * that prices the QR variant selector and CHASE_COLL_ALGO=auto. The
- * collective algorithm and chunk size themselves stay with
- * CHASE_COLL_ALGO / CHASE_COLL_CHUNK_BYTES and their built-in defaults.
- * Equivalent to exporting CHASE_PROFILE=path before the first solve.
- * Returns CHASE_SUCCESS, CHASE_INVALID_ARGUMENT for a NULL/empty path, or
- * CHASE_PROFILE_REJECTED when the file is unreadable, fails schema/version
- * validation, or was measured on a different machine. */
-int chase_profile_load(const char* path);
-
-/* Remove any installed profile; subsequent solves price with the
- * built-in machine model. */
-void chase_profile_unload(void);
 
 /* ---- Batched multi-tenant solver service (src/svc) ----
  *

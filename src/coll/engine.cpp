@@ -15,9 +15,8 @@ constexpr std::size_t kDefaultChunkBytes = std::size_t(64) << 10;
 perf::CollAlgo cheapest(perf::CollKind kind, std::size_t bytes, int nranks,
                         perf::Backend backend, const perf::TopoInfo& topo,
                         std::span<const perf::CollAlgo> candidates) {
-  // Priced with the process-global selection model so a loaded machine
-  // profile (tune::install_profile) recalibrates the auto policy too.
-  const perf::MachineModel model = perf::selection_model();
+  // Priced with the built-in machine constants; nothing recalibrates them.
+  const perf::MachineModel model;
   const std::size_t chunk = chunk_bytes();
   perf::CollAlgo best = perf::CollAlgo::kNaiveAlgo;
   double best_cost = std::numeric_limits<double>::infinity();

@@ -11,8 +11,9 @@
 //   CHASE_COLL_CHUNK_BYTES = pipelining granularity (default 64 KiB)
 //
 // `auto` picks per call by minimizing the extended alpha-beta-gamma cost
-// model (perf::coll_algo_seconds) over the available routines — the
-// in-process analogue of NCCL's protocol/algorithm autotuner. With a
+// model (perf::coll_algo_seconds, built-in machine constants) over the
+// available routines — the in-process analogue of NCCL picking its
+// algorithm and protocol from built-in cost tables. With a
 // grouped topology (CHASE_TOPO, src/comm/topology.hpp) the selection runs
 // the per-link-class overload, so `auto` chooses the two-level hierarchical
 // routines exactly when the slow cross-group links make them win.

@@ -43,7 +43,7 @@
 #include "la/stedc.hpp"
 #include "qr/condest.hpp"
 #include "qr/qr_selector.hpp"
-#include "tune/runtime.hpp"
+#include "tune/runtime.hpp"  // resolve_at_solve_start, for perfbench
 
 namespace chase::core {
 
@@ -78,11 +78,6 @@ ChaseResult<T> solve(HOp& h, const ChaseConfig& cfg,
   const Index ne = cfg.subspace();
   CHASE_CHECK_MSG(cfg.nev > 0 && ne <= h.global_size(), "invalid nev/nex");
   CHASE_CHECK_MSG(cfg.initial_degree >= 2, "invalid initial degree");
-
-  // Load the machine profile named by CHASE_PROFILE (once per process): its
-  // measured rates calibrate the selection model the QR selector and
-  // CHASE_COLL_ALGO=auto price with.
-  tune::ensure_profile_from_env();
 
   // Backend selection: the CHASE_PRECISION policy swaps in the
   // mixed-precision backend (fp32 filtering, fp64 everything else) when the

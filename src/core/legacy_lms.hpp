@@ -38,9 +38,6 @@ ChaseResult<T> solve_lms(HOp& h,
   const Index ne = cfg.subspace();
   CHASE_CHECK_MSG(cfg.nev > 0 && ne <= h.global_size(), "invalid nev/nex");
 
-  // Same solve-start profile resolution as core::solve.
-  tune::ensure_profile_from_env();
-
   // Same precision-policy backend selection as core::solve: the mixed
   // wrapper derives from the redundant backend, so the legacy QR/RR path is
   // preserved while the filter runs on the fp32 shadow.

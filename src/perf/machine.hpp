@@ -62,19 +62,12 @@ struct MachineModel {
   // When a communicator carries a grouped topology (perf::TopoInfo), the
   // cost model prices each hop by the class of the link it crosses: fast
   // links inside a node group (NVLink / shared memory) vs the slow
-  // inter-node class (HDR IB). These default to the NCCL ring rates above
-  // and are replaced by calibrate_links() (or by a CHASE_TOPO emulation
-  // spec, which overrides them per TopoInfo).
+  // inter-node class (HDR IB). These default to the NCCL ring rates above;
+  // a CHASE_TOPO emulation spec overrides the inter-node terms per TopoInfo.
   double intra_bw = 200.0e9;      // bytes/s across a fast intra-group link
   double inter_bw = 22.0e9;       // bytes/s across a slow cross-group link
   double intra_latency = 18e-6;   // per hop inside the fast group
   double inter_latency = 25e-6;   // per hop crossing groups
-
-  /// Replace the per-link-class rates with measured values (e.g. from the
-  /// --topo sweep of bench/micro_collectives). Non-positive arguments leave
-  /// the corresponding rate untouched.
-  void calibrate_links(double intra_bytes_per_s, double inter_bytes_per_s,
-                       double intra_lat_s = 0, double inter_lat_s = 0);
 
   /// Host-staged copy of `bytes` across PCIe.
   double memcpy_seconds(std::size_t bytes) const;
@@ -121,27 +114,6 @@ struct MachineModel {
   /// calibrated (or trusted) double rate; the speedup is clamped to >= 1 —
   /// a machine where fp32 runs slower than fp64 is a measurement artifact.
   void calibrate_single(const Tracker& t, double min_seconds = 1e-3);
-
-  /// Replace the effective rates with the measured rates of a loaded machine
-  /// profile (tune::install_profile): the double GEMM rate, the pooled
-  /// factorization rate, and the fp32 speedup. Unset (zero) rates leave the
-  /// corresponding default untouched — the same contract as the
-  /// counter-based calibrate_* routines.
-  void calibrate_from_profile(double gemm, double factor, double single);
 };
-
-/// The process-global MachineModel that prices runtime *selections*: the
-/// coll::select auto policy and qr::modeled_qr_seconds both read it, so the
-/// cost models and the loaded machine profile share one source of truth.
-/// Defaults to the built-in A100 description; tune::install_profile refreshes
-/// it via calibrate_from_profile. Returned by value (a couple dozen doubles)
-/// from an atomically published slot — safe to call from rank threads.
-MachineModel selection_model();
-
-/// Install `m` as the process-global selection model.
-void set_selection_model(const MachineModel& m);
-
-/// Reset the selection model to the built-in defaults.
-void reset_selection_model();
 
 }  // namespace chase::perf

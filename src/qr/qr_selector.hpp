@@ -17,7 +17,6 @@
 #pragma once
 
 #include "dist/index_map.hpp"
-#include "perf/machine.hpp"
 #include "qr/cholqr.hpp"
 #include "qr/hhqr_dist.hpp"
 #include "qr/tsqr.hpp"
@@ -54,9 +53,6 @@ struct QrReport {
   bool hhqr_fallback = false;                // POTRF failed, reverted to HHQR
   int potrf_failures = 0;                    // breakdowns along the ladder
   double est_cond = 0;  // the Algorithm 5 estimate the selection was based on
-  double modeled_seconds = 0;  // analytic cost of `selected`, priced with
-                               // QrOptions::machine when set, else the
-                               // process-global perf::selection_model()
 };
 
 struct QrOptions {
@@ -68,78 +64,7 @@ struct QrOptions {
   bool force_tsqr = false;
   /// Threshold below which one CholeskyQR pass suffices (Algorithm 4).
   double cholqr1_threshold = 20.0;
-  /// Optional machine model: when set, caqr_1d prices the selected variant
-  /// analytically (QrReport::modeled_seconds) using the model's calibrated
-  /// factorization rate (MachineModel::calibrate_factor) — the hook the
-  /// autotuner and EXPERIMENTS.md projections use to cost CholeskyQR from
-  /// measured TRSM/HERK/POTRF throughput instead of an assumed GEMM peak.
-  const perf::MachineModel* machine = nullptr;
 };
-
-/// Analytic per-call wall-clock of one QR variant on an m_global x n matrix
-/// row-distributed over nranks (MPI collective pricing). Compute terms use
-/// the model's per-class rates: the tall HERK/TRSM bulk of CholeskyQR at
-/// factor_flops, the redundant POTRF at small_flops, Householder panel work
-/// at panel_flops. Communication mirrors what the implementations actually
-/// send: a packed n(n+1)/2 Gram triangle per CholeskyQR repetition versus
-/// Householder QR's per-column message ladder.
-inline double modeled_qr_seconds(const perf::MachineModel& m, QrVariant v,
-                                 Index m_global, Index n, int nranks,
-                                 bool complex_scalar,
-                                 std::size_t scalar_bytes) {
-  if (n <= 0) return 0;
-  const double z = complex_scalar ? 4.0 : 1.0;
-  const double nd = double(n);
-  const double mloc = double(m_global) / double(nranks < 1 ? 1 : nranks);
-  const std::size_t real_bytes = complex_scalar ? scalar_bytes / 2
-                                                : scalar_bytes;
-  // One CholeskyQR repetition: HERK + TRSM (2 m n^2), redundant POTRF
-  // (n^3 / 3), one packed-triangle allreduce.
-  const std::size_t tri_bytes =
-      std::size_t(n) * std::size_t(n + 1) / 2 * scalar_bytes;
-  const double rep = 2.0 * z * mloc * nd * nd / m.factor_flops +
-                     z * nd * nd * nd / 3.0 / m.small_flops +
-                     m.mpi_allreduce_seconds(tri_bytes, nranks);
-  switch (v) {
-    case QrVariant::kCholQr1:
-      return rep;
-    case QrVariant::kCholQr2:
-      return 2.0 * rep;
-    case QrVariant::kShiftedCholQr2:
-      // Shifted pass (same shape plus the Frobenius-norm allreduce) followed
-      // by CholeskyQR2.
-      return 3.0 * rep + m.mpi_allreduce_seconds(real_bytes, nranks);
-    case QrVariant::kTsqr: {
-      const double p = double(nranks < 1 ? 1 : nranks);
-      double t = 4.0 * z * mloc * nd * nd / m.panel_flops +
-                 4.0 * z * p * nd * nd * nd / m.small_flops;
-      if (nranks > 1) {
-        t += m.mpi_allgather_seconds(
-            std::size_t(nranks) * std::size_t(n) * std::size_t(n) *
-                scalar_bytes,
-            nranks);
-      }
-      return t;
-    }
-    case QrVariant::kHouseholder:
-    default: {
-      double t = 4.0 * z * mloc * nd * nd / m.panel_flops;
-      if (nranks > 1) {
-        for (Index k = 0; k < n; ++k) {
-          t += m.mpi_allreduce_seconds(real_bytes, nranks);
-          t += m.mpi_broadcast_seconds(scalar_bytes, nranks);
-          if (k + 1 < n) {
-            t += m.mpi_allreduce_seconds(
-                std::size_t(n - k - 1) * scalar_bytes, nranks);
-          }
-          t += m.mpi_allreduce_seconds(std::size_t(n - k) * scalar_bytes,
-                                       nranks);
-        }
-      }
-      return t;
-    }
-  }
-}
 
 /// Orthonormalize the distributed tall matrix X in place, choosing the
 /// variant per Algorithm 4. `map`/`comm` describe the 1D row distribution
@@ -169,27 +94,15 @@ QrReport caqr_1d(la::MatrixView<T> x, const dist::IndexMap& map,
   report.est_cond = est_cond;
   const Communicator* reduce = comm.size() > 1 ? &comm : nullptr;
   const double shift_threshold = 1.0 / std::sqrt(double(unit_roundoff<T>()));
-  const auto price_selected = [&](QrVariant v) {
-    // Explicit QrOptions::machine wins; otherwise price with the
-    // process-global selection model, which a loaded machine profile
-    // recalibrates (tune::install_profile).
-    const perf::MachineModel model =
-        opts.machine != nullptr ? *opts.machine : perf::selection_model();
-    report.modeled_seconds =
-        modeled_qr_seconds(model, v, map.global_size(), x.cols(),
-                           comm.size(), kIsComplex<T>, sizeof(T));
-  };
 
   if (opts.force_householder) {
     report.selected = report.used = QrVariant::kHouseholder;
-    price_selected(report.selected);
     hhqr_dist(x, map, comm);
     detail::account_qr_report(report);
     return report;
   }
   if (opts.force_tsqr) {
     report.selected = report.used = QrVariant::kTsqr;
-    price_selected(report.selected);
     tsqr(x, comm);
     detail::account_qr_report(report);
     return report;
@@ -202,7 +115,6 @@ QrReport caqr_1d(la::MatrixView<T> x, const dist::IndexMap& map,
   } else {
     report.selected = QrVariant::kCholQr2;
   }
-  price_selected(report.selected);
 
   // Escalation ladder (Algorithm 4 line 9 generalized to every rung): a
   // breakdown in a CholQR1/CholQR2 repetition escalates to the shifted

@@ -1,14 +1,13 @@
 // Shared micro-benchmark timing harness.
 //
-// Every timing loop in the repo — the autotuner's kernel/collective probes
-// (src/tune/tuner.cpp) and the micro benches (bench/micro_kernels,
-// bench/micro_collectives, bench/micro_hierarchy) — runs the same
-// warmup-then-repeat discipline through measure(), so a rate recorded in a
-// machine profile is directly comparable to the one a bench reports.
+// Every timing loop in the repo — the micro benches (bench/bench_common.hpp,
+// bench/micro_kernels, bench/micro_collectives, bench/micro_hierarchy) and
+// perfbench's GEMM peak probe — runs the same warmup-then-repeat discipline
+// through measure(), so the rates they report are directly comparable.
 //
 // best-of semantics: micro kernels are quiet-machine measurements, so the
 // minimum over repeats is the estimator (mean and total are kept for
-// diagnostics and for the profile's raw measurement log).
+// diagnostics).
 #pragma once
 
 #include <limits>

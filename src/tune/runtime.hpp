@@ -1,24 +1,12 @@
-// Solve-start profile resolution (DESIGN.md §15).
+// Solve-start hook kept for perfbench's traced solve.
 //
-// core::solve / core::solve_lms call ensure_profile_from_env() on entry.
-// Once per process, the CHASE_PROFILE env knob is resolved: the named
-// profile is loaded, schema/fingerprint-checked and installed
-// (tune::install_profile). A rejected profile — unreadable, corrupt, wrong
-// version, wrong machine — bumps "tune.profile.rejected" and the process
-// falls back to built-in defaults; it never aborts a solve.
+// perfbench/src/traced_solve.hpp calls resolve_at_solve_start() before each
+// solve; nothing else does, and there is nothing to resolve. It stays until
+// perfbench drops the call (ROADMAP 8).
 #pragma once
 
 namespace chase::tune {
 
-/// Process-once env resolution. Idempotent and thread-safe.
-void ensure_profile_from_env();
-
-/// The same call under its older name; perfbench's traced solve uses it.
-inline void resolve_at_solve_start() { ensure_profile_from_env(); }
-
-/// Test hook: forget that env resolution ran (so the next
-/// ensure_profile_from_env() re-reads CHASE_PROFILE) and uninstall any
-/// loaded profile.
-void reset_runtime_for_testing();
+inline void resolve_at_solve_start() {}
 
 }  // namespace chase::tune

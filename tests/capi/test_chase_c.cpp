@@ -5,14 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <complex>
-#include <filesystem>
-#include <fstream>
 #include <vector>
 
 #include "gen/spectrum.hpp"
 #include "la/norms.hpp"
-#include "perf/machine.hpp"
-#include "tune/profile.hpp"
 
 namespace {
 
@@ -102,33 +98,6 @@ TEST(CApi, NotConvergedReportsApproximation) {
   EXPECT_EQ(chase_dsyev_lowest(h.data(), n, &p, w.data(), nullptr),
             CHASE_NOT_CONVERGED);
   EXPECT_NEAR(w[0], 0.0, 1e-3);  // still a useful approximation
-}
-
-TEST(CApi, ProfileLoadValidatesAndInstalls) {
-  EXPECT_EQ(chase_profile_load(nullptr), CHASE_INVALID_ARGUMENT);
-  EXPECT_EQ(chase_profile_load(""), CHASE_INVALID_ARGUMENT);
-  EXPECT_EQ(chase_profile_load("/nonexistent/profile.json"),
-            CHASE_PROFILE_REJECTED);
-
-  const auto path =
-      std::filesystem::temp_directory_path() / "chase_capi_profile.json";
-  {
-    std::ofstream out(path);
-    out << "{\"schema\": \"wrong.schema\", \"version\": 1}";
-  }
-  EXPECT_EQ(chase_profile_load(path.string().c_str()),
-            CHASE_PROFILE_REJECTED);
-
-  chase::tune::MachineProfile profile;
-  profile.fingerprint = chase::tune::local_fingerprint();
-  profile.rates.gemm_flops = 3e9;
-  ASSERT_TRUE(chase::tune::save_profile(profile, path.string()));
-  EXPECT_EQ(chase_profile_load(path.string().c_str()), CHASE_SUCCESS);
-  EXPECT_DOUBLE_EQ(chase::perf::selection_model().gemm_flops, 3e9);
-  chase_profile_unload();
-  EXPECT_EQ(chase::perf::selection_model().gemm_flops,
-            chase::perf::MachineModel{}.gemm_flops);
-  std::filesystem::remove(path);
 }
 
 }  // namespace

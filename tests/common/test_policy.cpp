@@ -1,7 +1,8 @@
 // The shared runtime-policy machinery (common/policy.hpp): every enum knob
 // rejects junk with a typed ConfigError, every Scoped guard restores the
-// exact previous state when guards nest, and rank threads may read the
-// slots while the main thread flips them.
+// exact previous state when guards nest, rank threads may read the slots
+// while the main thread flips them, and pinning the defaults explicitly
+// leaves a solve bitwise unchanged.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,6 +16,8 @@
 #include "common/env.hpp"
 #include "common/policy.hpp"
 #include "core/precision.hpp"
+#include "core/sequential.hpp"
+#include "tests/testing.hpp"
 
 namespace chase {
 namespace {
@@ -125,6 +128,38 @@ TEST(PolicyGuards, RankThreadsReadWhileGuardsFlip) {
   }
   stop.store(true);
   for (auto& t : readers) t.join();
+}
+
+TEST(PolicyDefaults, SolveMatchesPinnedDefaultsBitwise) {
+  // A process with no overrides is bitwise identical to one that explicitly
+  // pins the built-in defaults.
+  const auto h = testing::random_hermitian<double>(96, 7);
+  core::ChaseConfig cfg;
+  cfg.nev = 12;
+  cfg.nex = 6;
+
+  const auto plain = core::solve_sequential<double>(h.view(), cfg);
+  ASSERT_TRUE(plain.converged);
+
+  core::ChaseResult<double> pinned;
+  {
+    coll::ScopedAlgorithm algo_pin(coll::algorithm());
+    core::ScopedPrecision precision_pin(core::precision());
+    pinned = core::solve_sequential<double>(h.view(), cfg);
+  }
+  ASSERT_TRUE(pinned.converged);
+
+  ASSERT_EQ(plain.eigenvalues.size(), pinned.eigenvalues.size());
+  for (std::size_t i = 0; i < plain.eigenvalues.size(); ++i) {
+    EXPECT_EQ(plain.eigenvalues[i], pinned.eigenvalues[i]) << "i=" << i;
+  }
+  ASSERT_EQ(plain.eigenvectors.rows(), pinned.eigenvectors.rows());
+  ASSERT_EQ(plain.eigenvectors.cols(), pinned.eigenvectors.cols());
+  for (la::Index j = 0; j < plain.eigenvectors.cols(); ++j) {
+    for (la::Index i = 0; i < plain.eigenvectors.rows(); ++i) {
+      EXPECT_EQ(plain.eigenvectors(i, j), pinned.eigenvectors(i, j));
+    }
+  }
 }
 
 }  // namespace

@@ -1,10 +1,7 @@
-// The shared warmup+repeat harness and the tuner's default probe sizes.
+// The shared warmup+repeat harness of the micro benches and perfbench.
 #include <gtest/gtest.h>
 
-#include <vector>
-
 #include "tune/measure.hpp"
-#include "tune/tuner.hpp"
 
 namespace chase::tune {
 namespace {
@@ -44,30 +41,6 @@ TEST(Measure, RateIsWorkOverBest) {
     for (int i = 0; i < 10'000; ++i) sink = sink + i;
   });
   EXPECT_GT(rate, 0.0);
-}
-
-TEST(TuneEnvTest, DefaultsWhenUnset) {
-  // What `chase_tune` runs with when no --reps/--warmup/--quick flag is
-  // given.
-  const TuneOptions o;
-  EXPECT_EQ(o.repeats, 3);
-  EXPECT_EQ(o.warmup, 1);
-  EXPECT_FALSE(o.quick);
-}
-
-TEST(TuneEnvTest, WithDefaultsFillsOneSizePerClass) {
-  // One size per kernel rate (the rates come from the largest probed size).
-  TuneOptions o;
-  const TuneOptions full = o.with_defaults();
-  EXPECT_EQ(full.gemm_sizes.size(), 1u);
-  EXPECT_EQ(full.factor_sizes.size(), 1u);
-  o.quick = true;
-  const TuneOptions quick = o.with_defaults();
-  EXPECT_EQ(quick.gemm_sizes.size(), 1u);
-  EXPECT_LT(quick.gemm_sizes.back(), full.gemm_sizes.back());
-  // Explicit lists are preserved untouched.
-  o.gemm_sizes = {48, 96};
-  EXPECT_EQ(o.with_defaults().gemm_sizes, (std::vector<long long>{48, 96}));
 }
 
 }  // namespace
