@@ -12,16 +12,8 @@
 #include "core/legacy_lms.hpp"
 #include "gen/suite.hpp"
 #include "perf/cost_model.hpp"
-#include "tune/measure.hpp"
 
 namespace chase::bench {
-
-// The warmup+repeat timing discipline every bench uses lives in
-// tune::measure (shared with perfbench's peak probe, so their rates are
-// directly comparable); re-exported here for bench writers.
-using tune::measure;
-using tune::Measurement;
-using tune::measured_rate;
 
 using core::ChaseConfig;
 using core::ChaseResult;
@@ -65,21 +57,6 @@ InstrumentedRun<T> run_distributed(la::ConstMatrixView<T> h_full, int p,
     out.tracker.merge_max_times(trackers[r]);
   }
   return out;
-}
-
-/// Measured per-region seconds of a run on this host (thread CPU clock,
-/// max over ranks): compute plus the CPU spent inside collectives.
-inline double region_seconds(const perf::Tracker& t, perf::Region r) {
-  const auto& c = t.costs(r);
-  return c.compute_seconds + c.comm_cpu_seconds;
-}
-
-inline double total_seconds(const perf::Tracker& t) {
-  double s = 0;
-  for (int r = 0; r < perf::kRegionCount; ++r) {
-    s += region_seconds(t, perf::Region(r));
-  }
-  return s;
 }
 
 inline void print_rule(int width = 78) {

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# End-to-end reproduction driver: configure, build, run the full test suite,
-# every paper experiment and every ablation, collecting outputs under
-# results/.
+# Reproduction driver: configure, build, run the full test suite and every
+# binary under bench/ (the paper tables and figures, the nex ablation, and
+# the kernel, QR-variant and collective micro benches), collecting outputs
+# under results/. End-to-end timing is perfbench's (perfbench/run.py).
 #
 #   scripts/reproduce.sh [build-dir]
 #
@@ -30,4 +31,5 @@ done 2>&1 | tee results/bench_output.txt
 
 echo
 echo "Done. Text reports: results/{test,bench}_output.txt;"
-echo "CSV series: results/*.csv; paper comparison: EXPERIMENTS.md."
+echo "CSV series: results/*.csv; collective sweep: results/bench_collectives.json;"
+echo "paper comparison: EXPERIMENTS.md."

@@ -19,11 +19,9 @@ namespace {
 std::atomic<long>& timeout_ms() {
   static std::atomic<long> ms = [] {
     long v = 120000;  // generous: legitimate waits cover imbalanced compute
-    // CHASE_WATCHDOG_MS is the documented knob; CHASE_BARRIER_TIMEOUT_MS is
-    // the original name, kept as a fallback.
-    auto parsed = env::positive_env("CHASE_WATCHDOG_MS");
-    if (!parsed) parsed = env::positive_env("CHASE_BARRIER_TIMEOUT_MS");
-    if (parsed) v = long(*parsed);
+    if (auto parsed = env::positive_env("CHASE_WATCHDOG_MS")) {
+      v = long(*parsed);
+    }
     return v;
   }();
   return ms;

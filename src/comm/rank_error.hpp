@@ -113,7 +113,7 @@ class ErrorState {
 /// Watchdog timeout for barrier waits. The default is deliberately generous
 /// (legitimate waits cover whatever imbalanced compute siblings are doing);
 /// fault-tolerance tests lower it via ScopedBarrierTimeout. Initialized from
-/// CHASE_BARRIER_TIMEOUT_MS when set.
+/// CHASE_WATCHDOG_MS when set.
 std::chrono::milliseconds barrier_timeout();
 void set_barrier_timeout(std::chrono::milliseconds t);
 

@@ -2,18 +2,15 @@
 // DLA backend. The pipeline owns the per-iteration bookkeeping the stages
 // share — stats lifecycle, observer notification (on every recorded
 // iteration, including filter-recovery retries), workspace-arena growth
-// accounting, per-stage wall-clock counters — so a scheme is fully
-// described by (backend, stage list).
+// accounting — so a scheme is fully described by (backend, stage list).
 #pragma once
 
 #include <cmath>
-#include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/check.hpp"
 #include "common/faultinject.hpp"
-#include "common/timer.hpp"
 #include "core/degrees.hpp"
 #include "core/dla.hpp"
 #include "core/lanczos.hpp"
@@ -132,12 +129,7 @@ void run_pipeline(SolveContext<T>& ctx, DlaBackend<T>& dla,
 
     StageOutcome outcome = StageOutcome::kContinue;
     for (Stage<T>* stage : stages) {
-      WallTimer timer;
       outcome = stage->run(ctx, dla);
-      const std::string prefix =
-          std::string("engine.stage.") + std::string(stage->name());
-      perf::bump_counter(prefix + ".seconds", timer.seconds());
-      perf::bump_counter(prefix + ".calls");
       if (outcome != StageOutcome::kContinue) break;
     }
     ctx.stats.workspace_allocs = ctx.ws.alloc_events() - arena_before;

@@ -1,9 +1,8 @@
 // Shared micro-benchmark timing harness.
 //
-// Every timing loop in the repo — the micro benches (bench/bench_common.hpp,
-// bench/micro_kernels, bench/micro_collectives, bench/micro_hierarchy) and
-// perfbench's GEMM peak probe — runs the same warmup-then-repeat discipline
-// through measure(), so the rates they report are directly comparable.
+// bench/micro_collectives' engine sweep and perfbench's GEMM peak probe run
+// the same warmup-then-repeat discipline through measure(), so the rates
+// they report are directly comparable.
 //
 // best-of semantics: micro kernels are quiet-machine measurements, so the
 // minimum over repeats is the estimator (mean and total are kept for

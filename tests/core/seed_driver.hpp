@@ -5,9 +5,8 @@
 // This is an ORACLE, not library code — the same role the naive GEMM triple
 // loop plays for the kernel engine. tests/core/test_engine.cpp asserts the
 // staged engine reproduces the seed drivers' eigenpairs, iteration counts and
-// MatVec totals bit-for-bit, and bench/micro_engine.cpp measures wall-clock
-// parity (the refactor must not tax the hot path). Do not "improve" this
-// file; it is valuable precisely because it does not change.
+// MatVec totals bit-for-bit. Do not "improve" this file; it is valuable
+// precisely because it does not change.
 #pragma once
 
 #include <algorithm>

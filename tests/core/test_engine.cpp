@@ -1,17 +1,17 @@
 // Backend-equivalence suite for the layered solver engine: the staged
 // pipeline (core/engine) over the DLA backends (core/dla_dense.hpp) must
-// reproduce the frozen pre-refactor monolithic drivers (bench/seed_driver.hpp)
-// bit-for-bit — same eigenvalues, same local eigenvector entries, same
-// iteration and MatVec counts — on every grid shape and scalar type, for both
-// the v1.4 scheme and the legacy LMS scheme. The suite also pins the
-// zero-allocation workspace contract (iterations >= 2 never grow the arena)
-// and drives a matrix-free operator, including the begin_apply hook path,
-// through the staged engine.
+// reproduce the frozen pre-refactor monolithic drivers
+// (tests/core/seed_driver.hpp) bit-for-bit — same eigenvalues, same local
+// eigenvector entries, same iteration and MatVec counts — on every grid shape
+// and scalar type, for both the v1.4 scheme and the legacy LMS scheme. The
+// suite also pins the zero-allocation workspace contract (iterations >= 2
+// never grow the arena) and drives a matrix-free operator, including the
+// begin_apply hook path, through the staged engine.
 #include <gtest/gtest.h>
 
 #include <complex>
 
-#include "bench/seed_driver.hpp"
+#include "tests/core/seed_driver.hpp"
 #include "core/legacy_lms.hpp"
 #include "core/operator.hpp"
 #include "core/sequential.hpp"
@@ -175,11 +175,6 @@ TEST(EngineWorkspace, SteadyStateIterationsNeverGrowTheArena) {
         &trackers);
     for (const auto& t : trackers) {
       EXPECT_EQ(t.counter("workspace.steady_growth"), 0.0);
-      // The per-stage timing counters exist and count every iteration.
-      EXPECT_GT(t.counter("engine.stage.filter.calls"), 0.0);
-      EXPECT_GT(t.counter("engine.stage.qr.calls"), 0.0);
-      EXPECT_EQ(t.counter("engine.stage.filter.calls"),
-                t.counter("engine.stage.locking.calls"));
     }
   }
 }

@@ -1,16 +1,20 @@
 // Mixed-precision pipeline: promotion-policy triggers in isolation, the
-// CHASE_PRECISION policy plumbing, and end-to-end mixed solves (sequential,
-// distributed v1.4, legacy LMS) converging to the fp64 eigenpairs with the
-// fp32 filter demonstrably engaged.
+// CHASE_PRECISION policy plumbing, the fp32 shadow filter's halved allreduce
+// payload, and end-to-end mixed solves (sequential, distributed v1.4, legacy
+// LMS) converging to the fp64 eigenpairs with the fp32 filter demonstrably
+// engaged — without disturbing a later double-precision solve.
 #include <gtest/gtest.h>
 
 #include <complex>
+#include <cstring>
 #include <vector>
 
+#include "core/filter.hpp"
 #include "core/legacy_lms.hpp"
 #include "core/precision.hpp"
 #include "core/sequential.hpp"
 #include "gen/spectrum.hpp"
+#include "la/convert.hpp"
 #include "perf/tracker.hpp"
 #include "tests/testing.hpp"
 
@@ -168,6 +172,101 @@ ChaseConfig small_config() {
   cfg.nex = 6;
   cfg.tol = 1e-9;
   return cfg;
+}
+
+/// Allreduce payload bytes, summed over the four ranks of a 2x2 grid, that
+/// one chebyshev_filter call records: on H itself, or on its fp32 shadow
+/// (built with fill_demoted, as the mixed backend builds it) applied to the
+/// demoted panel.
+std::size_t filter_allreduce_bytes(bool fp32_shadow) {
+  using T = std::complex<double>;
+  using L = std::complex<float>;
+  const la::Index n = 96, ncols = 12;
+  auto h = test_matrix<T>(n);
+  std::vector<perf::Tracker> trackers(4);
+  comm::Team team(4);
+  team.run(
+      [&](comm::Communicator& world) {
+        comm::Grid2d grid(world, 2, 2);
+        auto map = dist::IndexMap::block(n, 2);
+        dist::DistHermitianMatrix<T> hd(grid, map, map);
+        hd.fill_from_global(h.cview());
+        const la::Index mloc = map.local_size(grid.my_row());
+        const la::Index bloc = map.local_size(grid.my_col());
+        la::Matrix<T> c(mloc, ncols), b(bloc, ncols);
+        Rng rng(11);
+        for (la::Index j = 0; j < ncols; ++j) {
+          for (la::Index i = 0; i < mloc; ++i) c(i, j) = rng.gaussian<T>();
+        }
+        const std::vector<int> degs(std::size_t(ncols), 6);
+        if (!fp32_shadow) {
+          chebyshev_filter(hd, c.view(), b.view(), degs, 0.5, 0.45, -0.99);
+          return;
+        }
+        dist::DistHermitianMatrix<L> h32(grid, map, map);
+        h32.fill_demoted(hd);
+        la::Matrix<L> c32(mloc, ncols), b32(bloc, ncols);
+        la::demote<T>(c.cview(), c32.view());
+        chebyshev_filter(h32, c32.view(), b32.view(), degs, 0.5f, 0.45f,
+                         -0.99f);
+      },
+      &trackers);
+  std::size_t bytes = 0;
+  for (const auto& t : trackers) {
+    for (const auto& e : t.collectives()) {
+      if (e.region == perf::Region::kFilter &&
+          e.kind == perf::CollKind::kAllReduce) {
+        bytes += e.bytes;
+      }
+    }
+  }
+  return bytes;
+}
+
+TEST(MixedFilter, ShadowHalvesTheAllreduceBytes) {
+  const std::size_t fp64 = filter_allreduce_bytes(false);
+  const std::size_t fp32 = filter_allreduce_bytes(true);
+  ASSERT_GT(fp64, 0u);
+  EXPECT_EQ(2 * fp32, fp64);
+}
+
+template <typename T>
+bool bitwise_equal(const ChaseResult<T>& a, const ChaseResult<T>& b) {
+  if (a.iterations != b.iterations || a.matvecs != b.matvecs ||
+      a.eigenvalues.size() != b.eigenvalues.size() ||
+      a.eigenvectors.rows() != b.eigenvectors.rows() ||
+      a.eigenvectors.cols() != b.eigenvectors.cols()) {
+    return false;
+  }
+  if (std::memcmp(a.eigenvalues.data(), b.eigenvalues.data(),
+                  a.eigenvalues.size() * sizeof(a.eigenvalues[0])) != 0) {
+    return false;
+  }
+  for (la::Index j = 0; j < a.eigenvectors.cols(); ++j) {
+    if (std::memcmp(a.eigenvectors.col(j), b.eigenvectors.col(j),
+                    std::size_t(a.eigenvectors.rows()) * sizeof(T)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(PrecisionPolicy, DoubleSolveUnchangedByAnInterveningMixedSolve) {
+  using T = std::complex<double>;
+  auto h = test_matrix<T>(96);
+  auto cfg = small_config();
+  ScopedPrecision sp(Precision::kDouble);
+
+  const ChaseResult<T> before = solve_sequential<T>(h.cview(), cfg);
+  ASSERT_TRUE(before.converged);
+  {
+    ScopedPrecision mixed(Precision::kMixed);
+    ASSERT_TRUE(solve_sequential<T>(h.cview(), cfg).converged);
+  }
+  const ChaseResult<T> after = solve_sequential<T>(h.cview(), cfg);
+  EXPECT_TRUE(bitwise_equal(before, after))
+      << "iterations " << before.iterations << " vs " << after.iterations
+      << ", matvecs " << before.matvecs << " vs " << after.matvecs;
 }
 
 template <typename T>
